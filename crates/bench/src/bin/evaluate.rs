@@ -15,15 +15,13 @@
 //!   perf                    serial-vs-parallel scoring throughput only
 //!                           (writes BENCH_eval.json)
 //!   serve                   replay a synthetic traffic mix through the
-//!                           qrc-serve compilation service ten ways:
+//!                           qrc-serve compilation service nine ways:
 //!                           serial, blocking batched, the pipelined
 //!                           socket front end, a sharded registry
 //!                           vs the monolithic baseline over a
 //!                           multi-device width-skewed mix, a
 //!                           restart-warmup arm (cold restart vs
 //!                           snapshot-warmed restart), a cold-cache
-//!                           miss-path arm (single-row f64 vs batched
-//!                           f64 vs gate-checked int8 inference), an
 //!                           observability arm (full profiler +
 //!                           span sampling on vs off, with a per-stage
 //!                           latency breakdown), a fleet arm (the mix
@@ -314,20 +312,6 @@ fn run_serve(
         report.restart_identical
     );
     println!(
-        "miss path ({} all-miss requests, best of 3 cold rounds): f64 serial {:.3}s | \
-         f64 batched {:.3}s ({:.2}x) | int8 batched {:.3}s ({:.2}x) | \
-         f64 payloads identical: {} | gate passed: {} ({} int8 misses)",
-        report.miss_requests,
-        report.miss_serial_secs,
-        report.miss_batched_secs,
-        report.miss_batched_multiple(),
-        report.miss_quantized_secs,
-        report.miss_quantized_multiple(),
-        report.miss_batched_identical,
-        report.quantized_gate_passed,
-        report.quantized_misses
-    );
-    println!(
         "observability ({} requests, 1-in-{} spans, best of 5 cold rounds): \
          off {:.3}s | on {:.3}s | overhead {:+.2}% | payloads identical: {} | \
          {} spans over {} sampled requests (trace valid: {})",
@@ -463,31 +447,6 @@ fn run_serve(
     }
     if report.warm_hits == 0 {
         eprintln!("FAIL: warmed restart never hit a pre-warmed entry");
-        std::process::exit(1);
-    }
-    if !report.miss_batched_identical {
-        eprintln!("FAIL: batched f64 inference diverged from single-row f64 inference");
-        std::process::exit(1);
-    }
-    if report.miss_batched_multiple() < 1.0 {
-        eprintln!(
-            "FAIL: batched f64 inference ({:.3}s) must not lose to single-row ({:.3}s)",
-            report.miss_batched_secs, report.miss_serial_secs
-        );
-        std::process::exit(1);
-    }
-    if !report.quantized_gate_passed {
-        eprintln!(
-            "FAIL: the int8 equivalence gate rejected a model ({} of {} misses went int8)",
-            report.quantized_misses, report.miss_requests
-        );
-        std::process::exit(1);
-    }
-    if report.miss_quantized_multiple() <= report.miss_batched_multiple() {
-        eprintln!(
-            "FAIL: int8 batched inference ({:.3}s) must beat f64 batched ({:.3}s)",
-            report.miss_quantized_secs, report.miss_batched_secs
-        );
         std::process::exit(1);
     }
     if !report.obs_identical {

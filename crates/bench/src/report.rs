@@ -40,11 +40,8 @@ use crate::{score_suite, CircuitEval, EvalSettings, Evaluation};
 /// `snapshot_entries`, and `payloads_identical` across the
 /// never-restarted/cold/warmed replays).
 ///
-/// v6: the serve report grew the cold-cache miss-path arm (`miss_path`
-/// block: an all-distinct, all-miss mix replayed with single-row f64,
-/// batched matrix-matrix f64, and gate-checked int8 batched inference;
-/// `batched_multiple`/`quantized_multiple` vs the serial baseline,
-/// `f64_payloads_identical`, `quantized_gate_passed`, `int8_misses`).
+/// v6: the serve report grew a cold-cache arm comparing the
+/// service's inference engines on an all-miss mix (removed in v11).
 ///
 /// v7: the serve report grew the observability arm (`observability`
 /// block: the all-miss mix replayed through the queued front-end path
@@ -86,7 +83,12 @@ use crate::{score_suite, CircuitEval, EvalSettings, Evaluation};
 /// fresh serial service on the promoted checkpoints,
 /// before/after served-reward means, and the aggregate `loop_ok`
 /// gate).
-pub const BENCH_SCHEMA_VERSION: u64 = 10;
+///
+/// v11: the v6 inference-engine block is gone (the service computes
+/// every miss with one engine, so there is nothing left to compare),
+/// and `settings.device` holds the device name (`ibmq_washington`)
+/// instead of its Rust debug form.
+pub const BENCH_SCHEMA_VERSION: u64 = 11;
 
 /// Wall-clock comparison of the serial vs parallel scoring paths.
 #[derive(Debug, Clone)]
@@ -187,7 +189,7 @@ fn settings_value(settings: &EvalSettings) -> Value {
     Value::object(vec![
         ("max_qubits", Value::from(settings.max_qubits)),
         ("timesteps", Value::from(settings.timesteps)),
-        ("device", Value::from(format!("{:?}", settings.device))),
+        ("device", Value::from(settings.device.name())),
         ("seed", Value::from(settings.seed)),
         ("step_penalty", Value::from(settings.step_penalty)),
     ])
@@ -273,7 +275,6 @@ pub fn bench_serve_value(report: &ServeBenchReport, settings: &EvalSettings) -> 
         ),
         ("sharded", sharded_value(report)),
         ("restart", restart_value(report)),
-        ("miss_path", miss_path_value(report)),
         ("observability", observability_value(report)),
         ("fleet", fleet_value(report)),
         ("retrain", retrain_value(report)),
@@ -453,35 +454,6 @@ fn observability_value(report: &ServeBenchReport) -> Value {
             "stage_breakdown_frac",
             Value::from(report.obs_breakdown_frac()),
         ),
-    ])
-}
-
-/// The miss-path block of `BENCH_serve.json`: cold-cache all-miss
-/// replays across the three inference modes, best-of-three rounds
-/// each.
-fn miss_path_value(report: &ServeBenchReport) -> Value {
-    Value::object(vec![
-        ("requests", Value::from(report.miss_requests)),
-        ("f64_serial_secs", Value::from(report.miss_serial_secs)),
-        ("f64_batched_secs", Value::from(report.miss_batched_secs)),
-        ("int8_batched_secs", Value::from(report.miss_quantized_secs)),
-        (
-            "batched_multiple",
-            Value::from(report.miss_batched_multiple()),
-        ),
-        (
-            "quantized_multiple",
-            Value::from(report.miss_quantized_multiple()),
-        ),
-        (
-            "f64_payloads_identical",
-            Value::from(report.miss_batched_identical),
-        ),
-        (
-            "quantized_gate_passed",
-            Value::from(report.quantized_gate_passed),
-        ),
-        ("int8_misses", Value::from(report.quantized_misses)),
     ])
 }
 
@@ -673,13 +645,6 @@ mod tests {
             warmed_misses: 0,
             warm_hits: 390,
             restart_identical: true,
-            miss_requests: 36,
-            miss_serial_secs: 0.4,
-            miss_batched_secs: 0.2,
-            miss_quantized_secs: 0.1,
-            miss_batched_identical: true,
-            quantized_gate_passed: true,
-            quantized_misses: 36,
             obs_requests: 36,
             obs_trace_sample: 4,
             obs_disabled_secs: 0.4,
@@ -773,12 +738,6 @@ mod tests {
             "warm_hits",
             "warmed_vs_cold",
             "payloads_identical",
-            "miss_path",
-            "batched_multiple",
-            "quantized_multiple",
-            "f64_payloads_identical",
-            "quantized_gate_passed",
-            "int8_misses",
             "p99",
             "p999",
             "observability",
@@ -843,6 +802,11 @@ mod tests {
             eval_text.contains(&marker),
             "BENCH_eval and BENCH_serve must share one schema version"
         );
+        // Both artifacts name the device, never its Rust debug form.
+        for text in [&serve_text, &eval_text] {
+            assert!(text.contains("\"device\": \"ibmq_washington\""), "{text}");
+            assert!(!text.contains("DeviceId("), "{text}");
+        }
         assert!((report.speedup() - 4.0).abs() < 1e-9);
         assert!((report.requests_per_sec() - 800.0).abs() < 1e-9);
         assert!((report.retrain_head_improvement() - 0.97).abs() < 1e-9);
@@ -852,8 +816,6 @@ mod tests {
         assert!((report.requests_per_sec_sharded() - 1000.0).abs() < 1e-9);
         assert!((report.sharded_vs_monolithic() - 1.25).abs() < 1e-9);
         assert!((report.warmed_vs_cold() - 5.0).abs() < 1e-9);
-        assert!((report.miss_batched_multiple() - 2.0).abs() < 1e-9);
-        assert!((report.miss_quantized_multiple() - 4.0).abs() < 1e-9);
         assert!((report.obs_overhead_frac() - 0.025).abs() < 1e-9);
         assert!((report.obs_breakdown_frac() - 0.98).abs() < 1e-9);
         assert!((report.requests_per_sec_fleet() - 2000.0).abs() < 1e-9);

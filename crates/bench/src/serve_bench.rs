@@ -15,16 +15,9 @@
 //! be byte-identical across all three, and the warmed restart's hit
 //! rate must beat the cold one's.
 //!
-//! A sixth arm isolates the miss path: an all-distinct, unpinned,
-//! cold-cache mix (every request is a policy-inference miss) replayed
-//! three ways — single-row f64 inference, batched matrix-matrix f64
-//! inference, and gate-checked int8 batched inference — best-of-three
-//! cold rounds each. The two f64 arms must produce byte-identical
-//! payloads, and the quantized arm's metrics expose whether the
-//! predictor's equivalence gate actually admitted the int8 path.
-//!
-//! A seventh arm prices the observability surface: the same all-miss
-//! mix replayed through the queued front-end path (stage histograms,
+//! A sixth arm prices the observability surface: an all-distinct,
+//! unpinned, cold-cache mix (every request is a policy-inference miss)
+//! replayed through the queued front-end path (stage histograms,
 //! request ids, span sampling all live) with the global profiler and
 //! 1-in-N trace sampling on vs fully off, best-of-five cold rounds
 //! each. Payloads must be byte-identical — instrumentation must never
@@ -32,7 +25,7 @@
 //! histograms must account for (nearly all of) the mean miss latency
 //! the responses themselves reported.
 //!
-//! An eighth arm scales out horizontally: the arm-1 mix streamed
+//! A seventh arm scales out horizontally: the arm-1 mix streamed
 //! through a real `FleetRouter` fronting three in-process socket
 //! replicas, each owning a third of the single-node cache capacity so
 //! total capacity matches the single-node arms. Payloads must be
@@ -42,7 +35,7 @@
 //! baseline — the whole point of content-hashed routing is that
 //! splitting the cache three ways loses no locality.
 //!
-//! A ninth arm exercises the dynamic device registry: a runtime
+//! An eighth arm exercises the dynamic device registry: a runtime
 //! device spec is registered alongside the built-ins and the arm-1 mix
 //! is extended with requests pinned to it. The built-in prefix must be
 //! byte-identical to the arm-1 serial payloads (registering extra
@@ -52,7 +45,7 @@
 //! byte-identical, with zero failed requests. This arm stays last: the
 //! calibration swap mutates the process-wide device registry.
 //!
-//! A tenth arm closes the training loop (it runs just *before* the
+//! A ninth arm closes the training loop (it runs just *before* the
 //! dynamic-device arm, which must stay last): deliberately weak
 //! wildcard checkpoints serve a skewed, traffic-logged mix, the
 //! offline retrain flow builds a frequency-weighted curriculum from
@@ -235,31 +228,10 @@ pub struct ServeBenchReport {
     /// warmed-restarted replays produced byte-identical compilation
     /// payloads for every request.
     pub restart_identical: bool,
-    /// Distinct, unpinned requests in the cold-cache miss-path arm
-    /// (every one is a policy-inference miss).
-    pub miss_requests: usize,
-    /// Best-of-three cold wall-clock of the single-row f64 miss replay
-    /// (seconds).
-    pub miss_serial_secs: f64,
-    /// Best-of-three cold wall-clock of the batched matrix-matrix f64
-    /// miss replay (seconds).
-    pub miss_batched_secs: f64,
-    /// Best-of-three cold wall-clock of the gate-checked int8 batched
-    /// miss replay (seconds).
-    pub miss_quantized_secs: f64,
-    /// `true` iff the f64 serial and f64 batched miss replays produced
-    /// byte-identical compilation payloads.
-    pub miss_batched_identical: bool,
-    /// `true` iff every quantized-arm miss was actually computed by the
-    /// int8 path — the predictor's equivalence gate passed for every
-    /// routed model (a failed gate falls back to f64 and shows up
-    /// here).
-    pub quantized_gate_passed: bool,
-    /// Misses the quantized arm's metrics attributed to int8 inference.
-    pub quantized_misses: u64,
-    /// Requests in the observability arm (the all-miss mix replayed
-    /// through the queued front-end path, so stage histograms, request
-    /// ids, and span sampling are all exercised).
+    /// Requests in the observability arm (an all-distinct, unpinned
+    /// mix replayed cold through the queued front-end path, so every
+    /// request is a miss and stage histograms, request ids, and span
+    /// sampling are all exercised).
     pub obs_requests: usize,
     /// Trace sampling rate of the instrumented replay (1-in-N).
     pub obs_trace_sample: u64,
@@ -457,20 +429,6 @@ impl ServeBenchReport {
     /// what pre-warming the cache from a snapshot bought.
     pub fn warmed_vs_cold(&self) -> f64 {
         self.cold_restart_secs / self.warmed_restart_secs.max(1e-12)
-    }
-
-    /// Single-row f64 miss wall-clock divided by batched f64 miss
-    /// wall-clock: what matrix-matrix inference bought on an all-miss
-    /// mix, with bit-identical outputs.
-    pub fn miss_batched_multiple(&self) -> f64 {
-        self.miss_serial_secs / self.miss_batched_secs.max(1e-12)
-    }
-
-    /// Single-row f64 miss wall-clock divided by int8 batched miss
-    /// wall-clock: the quantized path's total win over the serial
-    /// baseline.
-    pub fn miss_quantized_multiple(&self) -> f64 {
-        self.miss_serial_secs / self.miss_quantized_secs.max(1e-12)
     }
 
     /// Instrumented wall-clock over uninstrumented, minus one: the
@@ -744,14 +702,9 @@ pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> S
         && reference_payloads == warmed_payloads
         && reference_payloads.len() == traffic.len();
 
-    // --- The miss-path arm -----------------------------------------------
+    // --- The observability arm -------------------------------------------
     // Every request distinct and unpinned, replayed against a cold
-    // cache: no hits, no coalescing — the arm times policy inference
-    // itself. Three modes share the mix: single-row f64, batched
-    // matrix-matrix f64 (must be byte-identical), and gate-checked int8
-    // (falls back to f64 when the gate fails, which the mode counters
-    // expose). Best-of-three cold rounds each, so a stray scheduler
-    // hiccup cannot decide the comparison.
+    // cache: no hits, no coalescing, so every request is a miss.
     let miss_suite = qrc_benchgen::paper_suite(2, settings.max_qubits.min(3));
     let miss_traffic: Vec<ServeRequest> = miss_suite
         .iter()
@@ -768,55 +721,13 @@ pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> S
                 })
         })
         .collect();
-    // Gate calibration is a once-per-process startup cost: run it on
-    // the shared models before the timed rounds, so the initialized
-    // quantized policy rides along with every per-round clone instead
-    // of being re-derived inside the measurement.
-    for model in &models {
-        let _ = model.quantized_policy();
-    }
-    let miss_replay = |quantized: bool, batch_inference: bool| -> (Vec<Value>, f64, u64) {
-        let mut best = f64::INFINITY;
-        let mut payloads = Vec::new();
-        let mut int8_misses = 0;
-        for _ in 0..3 {
-            let service = CompilationService::with_registry(
-                ModelRegistry::from_models(models.clone()),
-                &ServiceConfig {
-                    // Serial scheduling isolates the inference mode:
-                    // rayon fan-out would blur the three arms together.
-                    parallel: false,
-                    seed: settings.seed,
-                    verbose: false,
-                    quantized,
-                    batch_inference,
-                    ..ServiceConfig::default()
-                },
-            );
-            let start = Instant::now();
-            let responses = service.handle_batch(&miss_traffic);
-            best = best.min(start.elapsed().as_secs_f64());
-            payloads = responses.iter().map(ServeResponse::payload_value).collect();
-            int8_misses = service.metrics().misses_int8_batched;
-        }
-        (payloads, best, int8_misses)
-    };
-    let (miss_serial_payloads, miss_serial_secs, _) = miss_replay(false, false);
-    let (miss_batched_payloads, miss_batched_secs, _) = miss_replay(false, true);
-    let (_, miss_quantized_secs, quantized_misses) = miss_replay(true, true);
-    let miss_batched_identical = miss_serial_payloads == miss_batched_payloads
-        && miss_serial_payloads.len() == miss_traffic.len();
-    let quantized_gate_passed = quantized_misses == miss_traffic.len() as u64;
-
-    // --- The observability arm -------------------------------------------
-    // The same all-miss mix once more, this time through the queued
-    // front-end path (`handle_queued`) so every surface the serving
-    // stack instruments is live: stage histograms, request ids, span
-    // synthesis. The full observability surface on (global profiler +
-    // 1-in-N trace sampling) vs off, best-of-five cold rounds each —
-    // must produce byte-identical payloads, and the instrumented
-    // rounds' stage histograms must reconstruct the miss latency the
-    // responses themselves reported.
+    // The mix runs through the queued front-end path (`handle_queued`)
+    // so every surface the serving stack instruments is live: stage
+    // histograms, request ids, span synthesis. The full observability
+    // surface on (global profiler + 1-in-N trace sampling) vs off,
+    // best-of-five cold rounds each — must produce byte-identical
+    // payloads, and the instrumented rounds' stage histograms must
+    // reconstruct the miss latency the responses themselves reported.
     const OBS_TRACE_SAMPLE: u64 = 4;
     let obs_lines: Vec<String> = miss_traffic.iter().map(ServeRequest::to_line).collect();
     let obs_round =
@@ -826,8 +737,8 @@ pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> S
             let service = CompilationService::with_registry(
                 ModelRegistry::from_models(models.clone()),
                 &ServiceConfig {
-                    // Serial scheduling, like the miss arm: the two
-                    // rounds must differ only in instrumentation.
+                    // Serial scheduling: the two rounds must differ
+                    // only in instrumentation.
                     parallel: false,
                     seed: settings.seed,
                     verbose: false,
@@ -853,8 +764,7 @@ pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> S
             let payloads = responses.iter().map(ServeResponse::payload_value).collect();
             (payloads, secs, responses, service)
         };
-    // Five off/on round *pairs*, not the miss arm's sequential
-    // best-of-three per config: the overhead gate compares two
+    // Five off/on round *pairs*: the overhead gate compares two
     // near-identical wall-clocks, so the arms are interleaved (any
     // ambient load drift hits both equally) and the minimum gets
     // enough draws to shake scheduler noise out.
@@ -1293,13 +1203,6 @@ pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> S
         warmed_misses: warmed_cache.misses,
         warm_hits: warmed_cache.warm_hits,
         restart_identical,
-        miss_requests: miss_traffic.len(),
-        miss_serial_secs,
-        miss_batched_secs,
-        miss_quantized_secs,
-        miss_batched_identical,
-        quantized_gate_passed,
-        quantized_misses,
         obs_requests: miss_traffic.len(),
         obs_trace_sample: OBS_TRACE_SAMPLE,
         obs_disabled_secs,

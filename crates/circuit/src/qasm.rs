@@ -203,10 +203,13 @@ fn parse_statement(
     };
     let (name, params) = match head.find('(') {
         Some(open) => {
-            let close = head.rfind(')').ok_or_else(|| CircuitError::Parse {
-                line,
-                message: "unbalanced parentheses".into(),
-            })?;
+            let close = head
+                .rfind(')')
+                .filter(|&close| close > open)
+                .ok_or_else(|| CircuitError::Parse {
+                    line,
+                    message: "unbalanced parentheses".into(),
+                })?;
             let plist = &head[open + 1..close];
             let params = plist
                 .split(',')
@@ -234,6 +237,16 @@ fn parse_statement(
             ),
         });
     }
+    if let Some(dup) = qubits
+        .iter()
+        .enumerate()
+        .find_map(|(i, q)| qubits[i + 1..].contains(q).then_some(q))
+    {
+        return Err(CircuitError::Parse {
+            line,
+            message: format!("gate `{name}` uses q[{}] twice", dup.0),
+        });
+    }
     qc.push(Operation::new(gate, &qubits))
         .map_err(|e| CircuitError::Parse {
             line,
@@ -247,10 +260,13 @@ fn parse_bracket_index(text: &str, line: usize) -> Result<u32, CircuitError> {
         line,
         message: format!("expected `[index]` in `{text}`"),
     })?;
-    let close = text.rfind(']').ok_or_else(|| CircuitError::Parse {
-        line,
-        message: format!("unbalanced bracket in `{text}`"),
-    })?;
+    let close = text
+        .rfind(']')
+        .filter(|&close| close > open)
+        .ok_or_else(|| CircuitError::Parse {
+            line,
+            message: format!("unbalanced bracket in `{text}`"),
+        })?;
     text[open + 1..close]
         .parse::<u32>()
         .map_err(|_| CircuitError::Parse {
@@ -260,6 +276,7 @@ fn parse_bracket_index(text: &str, line: usize) -> Result<u32, CircuitError> {
 }
 
 /// Parses an angle expression: decimal literals and `k*pi/d` forms.
+/// Only finite angles are accepted: OpenQASM 2 has no `nan` or `inf`.
 fn parse_angle(text: &str, line: usize) -> Result<f64, CircuitError> {
     let err = |msg: String| CircuitError::Parse { line, message: msg };
     let t = text.replace(' ', "");
@@ -289,7 +306,11 @@ fn parse_angle(text: &str, line: usize) -> Result<f64, CircuitError> {
             .parse::<f64>()
             .map_err(|_| err(format!("invalid angle `{text}`")))?
     };
-    Ok(num / denom)
+    let angle = num / denom;
+    if !angle.is_finite() {
+        return Err(err(format!("angle `{text}` is not a finite number")));
+    }
+    Ok(angle)
 }
 
 fn gate_from_name(name: &str, params: &[f64]) -> Option<Gate> {
@@ -395,6 +416,32 @@ mod tests {
     fn parse_rejects_missing_qreg() {
         assert!(from_qasm("h q[0];").is_err());
         assert!(from_qasm("").is_err());
+    }
+
+    #[test]
+    fn malformed_statements_are_parse_errors_not_panics() {
+        for body in [
+            "h q]0[;",
+            "rz)0.5( q[0];",
+            "measure q]1[ -> c[0];",
+            "cx q[0],q[0];",
+            "rz(nan) q[0];",
+            "rz(inf) q[0];",
+            "rz(-inf) q[0];",
+            "rz(1/0) q[0];",
+        ] {
+            let text = format!("OPENQASM 2.0;\nqreg q[2];\n{body}\n");
+            let err = from_qasm(&text).unwrap_err();
+            assert!(
+                matches!(err, CircuitError::Parse { line: 3, .. }),
+                "`{body}`: {err:?}"
+            );
+        }
+        let err = from_qasm("qreg]2[;").unwrap_err();
+        assert!(
+            matches!(err, CircuitError::Parse { line: 1, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

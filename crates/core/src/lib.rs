@@ -48,7 +48,7 @@ pub use env::{
 pub use flow::{CompilationFlow, FlowError, FlowState, MaskSignature};
 pub use predictor::{
     atomic_write, train, train_with_progress, BatchCompileRequest, CompilationOutcome,
-    FineTuneConfig, PersistError, PredictorConfig, TrainedPredictor, QUANT_GATE_TOLERANCE,
+    FineTuneConfig, PersistError, PredictorConfig, TrainedPredictor,
 };
 pub use reward::RewardKind;
 

@@ -6,10 +6,9 @@ use crate::flow::{CompilationFlow, FlowError, MaskSignature};
 use crate::reward::RewardKind;
 use qrc_circuit::QuantumCircuit;
 use qrc_device::{Device, DeviceId};
-use qrc_rl::{greedy_from_logits, PpoAgent, PpoConfig, QuantizedMlp, TrainStats};
+use qrc_rl::{greedy_from_logits, PpoAgent, PpoConfig, TrainStats};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Training configuration for a predictor model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -45,12 +44,6 @@ pub struct TrainedPredictor {
     agent: PpoAgent,
     reward: RewardKind,
     seed: u64,
-    /// Lazily built, gate-checked int8 policy; `Some(None)` once built
-    /// means the gate rejected quantization for this model. Derived
-    /// deterministically from the weights, so it is skipped on
-    /// serialization and rebuilt on demand after a reload.
-    #[serde(skip)]
-    quantized: OnceLock<Option<QuantizedMlp>>,
 }
 
 /// The outcome of compiling one circuit with a trained predictor.
@@ -98,7 +91,6 @@ pub fn train_with_progress(
         agent,
         reward: config.reward,
         seed: config.seed,
-        quantized: OnceLock::new(),
     }
 }
 
@@ -200,18 +192,6 @@ const CHECKPOINT_FORMAT: &str = "qrc-trained-predictor";
 /// Checkpoint format version; bump on any layout change.
 const CHECKPOINT_VERSION: u64 = 1;
 
-/// Maximum f64-logit margin by which the int8 policy's greedy choice
-/// may fall short of the exact policy's choice on any calibration
-/// point before quantization is rejected for a model.
-///
-/// The gate walks *on-policy* states (exact greedy rollouts over the
-/// built-in calibration circuits) rather than random observations: a
-/// trained policy's greedy margins on its own trajectory are large, so
-/// a quantization scheme good enough to serve passes with room to
-/// spare, while a disagreement on the states the model actually visits
-/// is exactly the situation where int8 serving would change results.
-pub const QUANT_GATE_TOLERANCE: f64 = 0.05;
-
 /// One request of a [`TrainedPredictor::compile_batch`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchCompileRequest<'a> {
@@ -221,24 +201,6 @@ pub struct BatchCompileRequest<'a> {
     pub pin: Option<DeviceId>,
     /// Seed for the stochastic passes (content-derived in serving).
     pub seed: u64,
-}
-
-/// Built-in calibration circuits for the quantization gate: GHZ-style
-/// H + CX chains at widths 2–5. Constructed inline (this crate does not
-/// depend on the benchmark generator) and deliberately tiny — the gate
-/// runs once per model load and only needs to visit every phase of the
-/// compilation flow, which any to-*Done* rollout does.
-fn calibration_suite() -> Vec<QuantumCircuit> {
-    (2..=5u32)
-        .map(|n| {
-            let mut qc = QuantumCircuit::with_name(n, format!("quant_cal_ghz_{n}"));
-            qc.h(0);
-            for q in 1..n {
-                qc.cx(q - 1, q);
-            }
-            qc
-        })
-        .collect()
 }
 
 /// A batch-stepping lane: one in-flight flow plus the index of the
@@ -326,7 +288,6 @@ impl TrainedPredictor {
             agent,
             reward,
             seed,
-            quantized: OnceLock::new(),
         })
     }
 
@@ -388,7 +349,6 @@ impl TrainedPredictor {
             agent,
             reward: self.reward,
             seed: self.seed,
-            quantized: OnceLock::new(),
         }
     }
 
@@ -491,8 +451,9 @@ impl TrainedPredictor {
         Ok(self.finish_rollout(flow, self.reward))
     }
 
-    /// The serving layer's one compile entry point: pinned when the
-    /// request named a device, free policy rollout otherwise.
+    /// Compiles one request: pinned when the request named a device,
+    /// free policy rollout otherwise. The serving scheduler's lockstep
+    /// [`TrainedPredictor::compile_batch`] reproduces it bit for bit.
     ///
     /// # Errors
     ///
@@ -566,83 +527,24 @@ impl TrainedPredictor {
         }
     }
 
-    /// The gate-checked int8 policy, built lazily on first use.
-    ///
-    /// Returns `None` when the equivalence gate rejected quantization:
-    /// on some state of an exact greedy rollout over the built-in
-    /// calibration circuits, the quantized policy's greedy choice fell
-    /// short of the exact choice by more than [`QUANT_GATE_TOLERANCE`]
-    /// in f64 logit space. Callers must treat `None` as "serve the
-    /// bit-exact f64 path" — [`TrainedPredictor::compile_batch`] does
-    /// this automatically.
-    pub fn quantized_policy(&self) -> Option<&QuantizedMlp> {
-        self.quantized
-            .get_or_init(|| self.gate_quantized())
-            .as_ref()
-    }
-
-    /// Whether the int8 equivalence gate passed for this model (builds
-    /// the quantized policy on first call).
-    pub fn quantization_gate_passed(&self) -> bool {
-        self.quantized_policy().is_some()
-    }
-
-    /// Builds the quantized policy and walks the calibration gate.
-    fn gate_quantized(&self) -> Option<QuantizedMlp> {
-        let quant = QuantizedMlp::quantize(self.agent.policy());
-        let all = Action::all();
-        for circuit in calibration_suite() {
-            let mut flow = CompilationFlow::new(circuit, self.seed);
-            for _ in 0..MAX_EPISODE_STEPS {
-                if flow.is_done() {
-                    break;
-                }
-                let mask = flow.action_mask();
-                if !mask.iter().any(|&m| m) {
-                    break;
-                }
-                let obs = observation_of(&flow);
-                let logits = self.agent.policy().forward(&obs);
-                let exact = greedy_from_logits(&logits, &mask);
-                let approx = greedy_from_logits(&quant.forward(&obs), &mask);
-                if logits[exact] - logits[approx] > QUANT_GATE_TOLERANCE {
-                    return None;
-                }
-                if flow.apply(all[exact]).is_err() {
-                    break;
-                }
-            }
-        }
-        Some(quant)
-    }
-
     /// Compiles a batch of requests in lockstep: per rollout tick, the
     /// observations of every still-active request are stacked and the
     /// policy runs **one** batched matrix-matrix forward instead of one
     /// matrix-vector forward per request, and action masks are memoized
     /// per [`MaskSignature`] instead of recomputed per flow per step.
     ///
-    /// With `quantized == false` (or when the equivalence gate rejects
-    /// quantization — see [`TrainedPredictor::quantized_policy`]), every
-    /// outcome is **bit-identical** to calling
+    /// Every outcome is **bit-identical** to calling
     /// [`TrainedPredictor::compile_request`] per item: the batched
     /// forward preserves the serial path's accumulation order, the
     /// memoized masks equal the recomputed ones (the mask is a pure
     /// function of its signature), and each lane applies the same
     /// actions to the same seeded flow.
     ///
-    /// Returns the per-item results (in request order) and whether the
-    /// int8 policy actually served the batch.
+    /// Returns the per-item results in request order.
     pub fn compile_batch(
         &self,
         items: &[BatchCompileRequest<'_>],
-        quantized: bool,
-    ) -> (Vec<Result<CompilationOutcome, FlowError>>, bool) {
-        let quant = if quantized {
-            self.quantized_policy()
-        } else {
-            None
-        };
+    ) -> Vec<Result<CompilationOutcome, FlowError>> {
         let mut results: Vec<Option<Result<CompilationOutcome, FlowError>>> =
             items.iter().map(|_| None).collect();
         let mut lanes: Vec<Lane> = Vec::with_capacity(items.len());
@@ -693,10 +595,7 @@ impl TrainedPredictor {
             // One matrix-matrix policy forward for the whole tick;
             // timed as a single tick when profiling is on.
             let tick_start = qrc_obs::profile::enabled().then(std::time::Instant::now);
-            let logits = match quant {
-                Some(q) => q.forward_batch(&obs_rows),
-                None => self.agent.policy().forward_batch(&obs_rows),
-            };
+            let logits = self.agent.policy().forward_batch(&obs_rows);
             if let Some(start) = tick_start {
                 qrc_obs::profile::record_tick(start.elapsed().as_micros() as u64);
             }
@@ -715,11 +614,10 @@ impl TrainedPredictor {
         for lane in lanes {
             results[lane.item] = Some(Ok(self.outcome_of(lane.flow, self.reward)));
         }
-        let results = results
+        results
             .into_iter()
             .map(|r| r.expect("every request resolved"))
-            .collect();
-        (results, quant.is_some())
+            .collect()
     }
 }
 
@@ -784,48 +682,6 @@ mod tests {
         assert_eq!(a.reward, b.reward);
     }
 
-    /// Builds a checkpoint with a hand-crafted single-layer policy (and
-    /// a zero value net) so tests control the exact logits.
-    fn crafted_model(policy_w: Vec<f64>, policy_b: Vec<f64>) -> TrainedPredictor {
-        use serde_json::Value;
-        let layer = |inputs: usize, outputs: usize, w: &[f64], b: &[f64]| {
-            Value::object(vec![
-                ("inputs", Value::from(inputs)),
-                ("outputs", Value::from(outputs)),
-                (
-                    "w",
-                    Value::Array(w.iter().map(|&v| Value::from(v)).collect()),
-                ),
-                (
-                    "b",
-                    Value::Array(b.iter().map(|&v| Value::from(v)).collect()),
-                ),
-            ])
-        };
-        let value_zeros = vec![0.0; OBS_DIM];
-        let agent = Value::object(vec![
-            ("obs_dim", Value::from(OBS_DIM)),
-            ("num_actions", Value::from(Action::COUNT)),
-            ("config", PpoConfig::default().to_value()),
-            (
-                "policy",
-                Value::Array(vec![layer(OBS_DIM, Action::COUNT, &policy_w, &policy_b)]),
-            ),
-            (
-                "value",
-                Value::Array(vec![layer(OBS_DIM, 1, &value_zeros, &[0.0])]),
-            ),
-        ]);
-        let checkpoint = serde_json::to_string(&Value::object(vec![
-            ("format", Value::from("qrc-trained-predictor")),
-            ("version", Value::from(1u64)),
-            ("reward", Value::from("fidelity")),
-            ("seed", Value::from(11u64)),
-            ("agent", agent),
-        ]));
-        TrainedPredictor::from_json(&checkpoint).unwrap()
-    }
-
     #[test]
     fn compile_batch_is_bit_identical_to_serial() {
         let model = train(tiny_suite(), &tiny_config(RewardKind::ExpectedFidelity));
@@ -854,8 +710,7 @@ mod tests {
                 seed: 6,
             },
         ];
-        let (batched, used_quantized) = model.compile_batch(&items, false);
-        assert!(!used_quantized);
+        let batched = model.compile_batch(&items);
         assert_eq!(batched.len(), items.len());
         for (req, got) in items.iter().zip(batched.iter()) {
             let want = model.compile_request(req.circuit, req.pin, req.seed);
@@ -869,75 +724,6 @@ mod tests {
                 (Err(w), Err(g)) => assert_eq!(format!("{w:?}"), format!("{g:?}")),
                 (w, g) => panic!("serial {w:?} vs batched {g:?} disagree on ok-ness"),
             }
-        }
-    }
-
-    #[test]
-    fn quantization_gate_rejects_argmax_flips_and_falls_back() {
-        // Single-layer policy where int8 rounding erases the margin
-        // between actions 0 and 1: both rows put weight 200 on obs[7]
-        // (the *Start* one-hot, always 1.0 on the first rollout step),
-        // row 0 adds 0.7 on obs[17] (the no-device one-hot, also 1.0).
-        // Row scale is 200/127 ≈ 1.57, so 0.7 quantizes to zero and the
-        // rows become identical: the quantized argmax tie-breaks to
-        // action 1 while f64 prefers action 0 by 0.7 > tolerance.
-        let cols = OBS_DIM;
-        let mut w = vec![0.0; Action::COUNT * cols];
-        let mut b = vec![-1000.0; Action::COUNT];
-        w[7] = 200.0;
-        w[17] = 0.7;
-        w[cols + 7] = 200.0;
-        b[0] = 0.0;
-        b[1] = 0.0;
-        let model = crafted_model(w, b);
-        assert!(!model.quantization_gate_passed());
-        assert!(model.quantized_policy().is_none());
-        // Requesting the int8 engine falls back to the bit-exact path.
-        let circuits = tiny_suite();
-        let items: Vec<BatchCompileRequest<'_>> = circuits
-            .iter()
-            .map(|c| BatchCompileRequest {
-                circuit: c,
-                pin: None,
-                seed: 9,
-            })
-            .collect();
-        let (quant_req, used_quantized) = model.compile_batch(&items, true);
-        assert!(!used_quantized, "gate failure must force the f64 path");
-        let (exact, _) = model.compile_batch(&items, false);
-        for (a, b) in exact.iter().zip(quant_req.iter()) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.circuit, b.circuit);
-            assert_eq!(a.actions, b.actions);
-        }
-    }
-
-    #[test]
-    fn quantization_gate_passes_for_exactly_representable_policies() {
-        // Zero weights, distinct biases: zero rows quantize exactly and
-        // biases stay f64, so the int8 logits equal the f64 logits and
-        // the gate must pass.
-        let b: Vec<f64> = (0..Action::COUNT).map(|i| i as f64 * 0.25).collect();
-        let model = crafted_model(vec![0.0; Action::COUNT * OBS_DIM], b);
-        assert!(model.quantization_gate_passed());
-        let circuits = tiny_suite();
-        let items: Vec<BatchCompileRequest<'_>> = circuits
-            .iter()
-            .map(|c| BatchCompileRequest {
-                circuit: c,
-                pin: None,
-                seed: 9,
-            })
-            .collect();
-        let (quantized, used_quantized) = model.compile_batch(&items, true);
-        assert!(used_quantized);
-        // Exact logits → the int8 engine reproduces the f64 outcomes.
-        let (exact, _) = model.compile_batch(&items, false);
-        for (a, b) in exact.iter().zip(quantized.iter()) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.circuit, b.circuit);
-            assert_eq!(a.actions, b.actions);
-            assert_eq!(a.reward.to_bits(), b.reward.to_bits());
         }
     }
 

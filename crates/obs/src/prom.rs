@@ -109,13 +109,13 @@ mod tests {
         let mut p = PromText::new();
         p.header("qrc_requests_total", "counter", "Requests received.");
         p.sample_u64("qrc_requests_total", &[], 7);
-        p.sample_u64("qrc_misses_total", &[("mode", "f64\"x\\y\n")], 3);
+        p.sample_u64("qrc_responses_total", &[("cache", "miss\"x\\y\n")], 3);
         p.sample_f64("qrc_uptime_seconds", &[], 1.5);
         let text = p.finish();
         assert!(text.contains("# HELP qrc_requests_total Requests received.\n"));
         assert!(text.contains("# TYPE qrc_requests_total counter\n"));
         assert!(text.contains("qrc_requests_total 7\n"));
-        assert!(text.contains("qrc_misses_total{mode=\"f64\\\"x\\\\y\\n\"} 3\n"));
+        assert!(text.contains("qrc_responses_total{cache=\"miss\\\"x\\\\y\\n\"} 3\n"));
         assert!(text.contains("qrc_uptime_seconds 1.5\n"));
     }
 

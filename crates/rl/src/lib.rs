@@ -28,7 +28,6 @@
 mod env;
 mod nn;
 mod ppo;
-mod quant;
 
 pub use env::{Environment, Step};
 pub use nn::{Adam, Gradients, Mlp};
@@ -36,4 +35,3 @@ pub use ppo::{
     distribution_entropy, greedy_from_logits, masked_softmax, sample_categorical, PpoAgent,
     PpoConfig, TrainStats,
 };
-pub use quant::{fast_tanh, QuantizedMlp};

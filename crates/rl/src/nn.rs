@@ -10,12 +10,12 @@ use serde::{Deserialize, Serialize};
 
 /// One dense layer: `y = W·x + b`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct Linear {
+struct Linear {
     /// Row-major `out × in` weights.
-    pub(crate) w: Vec<f64>,
-    pub(crate) b: Vec<f64>,
-    pub(crate) inputs: usize,
-    pub(crate) outputs: usize,
+    w: Vec<f64>,
+    b: Vec<f64>,
+    inputs: usize,
+    outputs: usize,
 }
 
 impl Linear {
@@ -220,11 +220,6 @@ impl Mlp {
         }
         let outputs = self.output_dim();
         cur.chunks(outputs).map(<[f64]>::to_vec).collect()
-    }
-
-    /// The dense layers, for crate-internal consumers (quantization).
-    pub(crate) fn layers(&self) -> &[Linear] {
-        &self.layers
     }
 
     /// Forward pass retaining intermediate activations for backprop.

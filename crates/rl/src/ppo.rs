@@ -290,10 +290,10 @@ impl PpoAgent {
         greedy_from_logits(&self.policy.forward(obs), mask)
     }
 
-    /// The policy network, read-only — external inference engines
-    /// (batched serving rollouts, int8 quantization) evaluate it
-    /// directly and pick actions with [`greedy_from_logits`], which is
-    /// guaranteed to agree with [`PpoAgent::act_greedy`].
+    /// The policy network, read-only — the lockstep batched serving
+    /// rollout evaluates it directly and picks actions with
+    /// [`greedy_from_logits`], which is guaranteed to agree with
+    /// [`PpoAgent::act_greedy`].
     pub fn policy(&self) -> &Mlp {
         &self.policy
     }
@@ -503,9 +503,9 @@ fn clip_grad_norm(grads: &mut Gradients, max_norm: f64) {
 
 /// The greedy action for one row of policy logits under a legality
 /// mask — the exact selection rule [`PpoAgent::act_greedy`] uses
-/// (masked softmax, then argmax by `total_cmp`), factored out so
-/// batched and quantized inference engines break ties identically to
-/// the per-vector path.
+/// (masked softmax, then argmax by `total_cmp`), factored out so the
+/// batched inference path breaks ties identically to the per-vector
+/// path.
 ///
 /// # Panics
 ///

@@ -2,9 +2,7 @@
 //! masked policy and gradient-correctness of the network.
 
 use proptest::prelude::*;
-use qrc_rl::{
-    masked_softmax, sample_categorical, Gradients, Mlp, PpoAgent, PpoConfig, QuantizedMlp,
-};
+use qrc_rl::{masked_softmax, sample_categorical, Gradients, Mlp, PpoAgent, PpoConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -94,76 +92,6 @@ proptest! {
         let norm = grads.norm();
         prop_assume!(norm > 1e-9);
         let _ = eps;
-    }
-
-    #[test]
-    fn quantized_argmax_agrees_when_the_f64_margin_is_clear(
-        seed in 0u64..300,
-        input in proptest::collection::vec(-1.0..1.0f64, 6),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = Mlp::new(6, &[10], 5, &mut rng);
-        let q = QuantizedMlp::quantize(&net);
-        let exact = net.forward(&input);
-        let approx = q.forward(&input);
-        prop_assert_eq!(exact.len(), approx.len());
-
-        // The quantized logits track the f64 logits: int8 rounding
-        // error is a small fraction of the logit scale.
-        let linf = exact
-            .iter()
-            .zip(approx.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        let scale = exact.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        prop_assert!(
-            linf <= 0.15 * scale,
-            "quantized logits drifted {} from f64 (scale {})", linf, scale
-        );
-
-        // Whenever the f64 margin between the best and second-best
-        // action dominates the quantization error, the quantized net
-        // must pick the same action (last-max tie-break, matching
-        // `greedy_from_logits`). This is exactly the property the
-        // predictor's equivalence gate relies on.
-        let argmax = |v: &[f64]| {
-            v.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .expect("non-empty logits")
-                .0
-        };
-        let top = argmax(&exact);
-        let runner_up = exact
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != top)
-            .map(|(_, v)| *v)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if exact[top] - runner_up > 2.0 * linf {
-            prop_assert_eq!(
-                argmax(&approx), top,
-                "argmax flipped despite a clear f64 margin"
-            );
-        }
-    }
-
-    #[test]
-    fn quantized_batch_rows_are_bit_identical_to_single_rows(
-        seed in 0u64..200,
-        rows in proptest::collection::vec(proptest::collection::vec(-2.0..2.0f64, 4), 1..6),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = Mlp::new(4, &[8], 3, &mut rng);
-        let q = QuantizedMlp::quantize(&net);
-        let batched = q.forward_batch(&rows);
-        prop_assert_eq!(batched.len(), rows.len());
-        for (x, row) in rows.iter().zip(batched.iter()) {
-            let single = q.forward(x);
-            for (a, b) in single.iter().zip(row.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -34,13 +34,6 @@
 //!   --blocking          legacy stdin loop: read a batch, compute it,
 //!                       repeat (no I/O/compute overlap; stdin only)
 //!   --serial            compute cache misses serially (results identical)
-//!   --quantized         serve cache misses with the int8-quantized
-//!                       policy when its equivalence gate passes
-//!                       (bit-exact f64 fallback otherwise); implies
-//!                       batched inference
-//!   --no-batch-inference  run each miss through the single-row f64
-//!                       forward pass instead of the batched
-//!                       matrix-matrix path (results identical)
 //!   --warm-cache        persist & pre-warm the result cache: import
 //!                       cache_snapshot.ndjson from the models dir
 //!                       before taking traffic (stale entries dropped,
@@ -93,8 +86,7 @@ const USAGE: &str = "usage: qrc-serve [--listen ADDR] [--models DIR] [--device-d
                      [--shard SPEC]... [--timesteps N] [--seed N] \
                      [--train-max-qubits N] [--cache-capacity N] [--cache-shards N] \
                      [--batch N] [--batch-wait-us N] [--queue N] [--max-line-bytes N] \
-                     [--max-width N] [--blocking] [--serial] [--quantized] \
-                     [--no-batch-inference] [--warm-cache] \
+                     [--max-width N] [--blocking] [--serial] [--warm-cache] \
                      [--replay-log PATH] [--log-traffic PATH] \
                      [--log-requests] [--stats] [--metrics-listen ADDR] \
                      [--trace-sample N] [--trace-out PATH] [--quiet]";
@@ -169,8 +161,6 @@ fn main() {
             "--max-width" => parse_into(&args, &mut i, "max-width", &mut config.max_circuit_qubits),
             "--blocking" => blocking = true,
             "--serial" => config.parallel = false,
-            "--quantized" => config.quantized = true,
-            "--no-batch-inference" => config.batch_inference = false,
             "--warm-cache" => warm_cache = true,
             "--replay-log" => match flag_value::<String>(&args, &mut i, "replay-log") {
                 Ok(path) => replay_log = Some(path.into()),
@@ -204,12 +194,6 @@ fn main() {
     }
     if blocking && listen.is_some() {
         usage_error("--blocking applies to stdin mode only", USAGE);
-    }
-    if config.quantized && !config.batch_inference {
-        usage_error(
-            "--quantized implies batched inference; drop --no-batch-inference",
-            USAGE,
-        );
     }
     // The pipelined front end can collect a fuller batch without
     // stalling anyone (its batch-wait timeout bounds the delay), so it

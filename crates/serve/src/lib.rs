@@ -16,9 +16,10 @@
 //!   hash, device pin, serving shard); repeated traffic never re-runs
 //!   the policy,
 //! * [`scheduler`] — batches requests, deduplicates in-flight
-//!   identical jobs, and fans misses across a rayon pool with
-//!   content-derived seeds so concurrent results are byte-identical to
-//!   serial execution,
+//!   identical jobs, runs each model's misses as one lockstep rollout,
+//!   and fans those rollouts across a rayon pool with content-derived
+//!   seeds so concurrent results are byte-identical to serial
+//!   execution,
 //! * [`persist`] — cache persistence & warmup: crash-safe NDJSON
 //!   snapshots of the hot cache next to the checkpoints (validated
 //!   against checkpoint identity on restore, so a swapped model never
@@ -130,7 +131,7 @@ pub use retrain::{
 };
 pub use ring::{mix_key, splitmix64, HashRing};
 pub use router::{FleetRouter, RouterConfig};
-pub use scheduler::{BatchOptions, BatchReport, InferenceMode, MissModeCounts};
+pub use scheduler::{BatchOptions, BatchReport};
 pub use service::{
     CompilationService, QueuedLine, ReplayWarmup, ServiceConfig, SnapshotWarmup, SnapshotWritten,
 };

@@ -27,7 +27,6 @@ use qrc_obs::{AtomicHistogram, Histogram, PromText};
 
 use crate::cache::CacheStats;
 use crate::protocol::CacheStatus;
-use crate::scheduler::InferenceMode;
 use crate::shard::{RouteLevel, ShardKey, ShardRoute};
 
 /// Latency percentile over unsorted microsecond samples (nearest-rank;
@@ -168,9 +167,6 @@ pub struct ServeMetrics {
     hit_responses: AtomicU64,
     miss_responses: AtomicU64,
     coalesced_responses: AtomicU64,
-    misses_f64_serial: AtomicU64,
-    misses_f64_batched: AtomicU64,
-    misses_int8_batched: AtomicU64,
     latency: AtomicHistogram,
     stages: [AtomicHistogram; Stage::ALL.len()],
     routing: Mutex<Routing>,
@@ -187,9 +183,6 @@ impl Default for ServeMetrics {
             hit_responses: AtomicU64::new(0),
             miss_responses: AtomicU64::new(0),
             coalesced_responses: AtomicU64::new(0),
-            misses_f64_serial: AtomicU64::new(0),
-            misses_f64_batched: AtomicU64::new(0),
-            misses_int8_batched: AtomicU64::new(0),
             latency: AtomicHistogram::new(),
             stages: std::array::from_fn(|_| AtomicHistogram::new()),
             routing: Mutex::new(Routing::default()),
@@ -268,24 +261,6 @@ impl ServeMetrics {
         self.stages[slot].snapshot()
     }
 
-    /// Records `count` cache misses computed under one inference mode.
-    ///
-    /// Counted per *mode actually used* — a batch that requested int8
-    /// but fell back to f64 (equivalence gate failure) reports the f64
-    /// mode, so these counters are evidence of what served traffic, not
-    /// of what was asked for.
-    pub fn record_miss_modes(&self, mode: InferenceMode, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let slot = match mode {
-            InferenceMode::F64Serial => &self.misses_f64_serial,
-            InferenceMode::F64Batched => &self.misses_f64_batched,
-            InferenceMode::Int8Batched => &self.misses_int8_batched,
-        };
-        slot.fetch_add(count, Ordering::Relaxed);
-    }
-
     /// Records one back-pressure rejection (queue full). Rejections
     /// never reach the scheduler, so they are counted apart from
     /// `requests`/`errors` and excluded from the latency histogram — a
@@ -329,9 +304,6 @@ impl ServeMetrics {
             hit_responses: self.hit_responses.load(Ordering::Relaxed),
             miss_responses: self.miss_responses.load(Ordering::Relaxed),
             coalesced_responses: self.coalesced_responses.load(Ordering::Relaxed),
-            misses_f64_serial: self.misses_f64_serial.load(Ordering::Relaxed),
-            misses_f64_batched: self.misses_f64_batched.load(Ordering::Relaxed),
-            misses_int8_batched: self.misses_int8_batched.load(Ordering::Relaxed),
             cache,
             shards,
             routes,
@@ -413,23 +385,6 @@ impl ServeMetrics {
             p.sample_u64(
                 "qrc_responses_total",
                 &[("cache", outcome)],
-                counter.load(Ordering::Relaxed),
-            );
-        }
-
-        p.header(
-            "qrc_misses_total",
-            "counter",
-            "Cache misses computed, by inference mode actually used.",
-        );
-        for (mode, counter) in [
-            (InferenceMode::F64Serial, &self.misses_f64_serial),
-            (InferenceMode::F64Batched, &self.misses_f64_batched),
-            (InferenceMode::Int8Batched, &self.misses_int8_batched),
-        ] {
-            p.sample_u64(
-                "qrc_misses_total",
-                &[("mode", mode.name())],
                 counter.load(Ordering::Relaxed),
             );
         }
@@ -593,12 +548,6 @@ pub struct MetricsSnapshot {
     pub miss_responses: u64,
     /// Requests answered `"cache":"coalesced"`.
     pub coalesced_responses: u64,
-    /// Misses computed one policy forward at a time in f64.
-    pub misses_f64_serial: u64,
-    /// Misses computed by batched f64 matrix-matrix inference.
-    pub misses_f64_batched: u64,
-    /// Misses computed by batched int8 (gate-checked) inference.
-    pub misses_int8_batched: u64,
     /// Store-level counters (unique lookups, insertions, evictions).
     pub cache: CacheStats,
     /// Per-shard routing counters, sorted by shard name.
@@ -640,14 +589,6 @@ impl MetricsSnapshot {
                     ("hit", Value::from(self.hit_responses)),
                     ("miss", Value::from(self.miss_responses)),
                     ("coalesced", Value::from(self.coalesced_responses)),
-                ]),
-            ),
-            (
-                "inference",
-                Value::object(vec![
-                    ("f64_serial", Value::from(self.misses_f64_serial)),
-                    ("f64_batched", Value::from(self.misses_f64_batched)),
-                    ("int8_batched", Value::from(self.misses_int8_batched)),
                 ]),
             ),
             (
@@ -735,24 +676,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn inference_mode_counters_accumulate_and_render() {
-        let m = ServeMetrics::new();
-        m.record_miss_modes(InferenceMode::F64Serial, 2);
-        m.record_miss_modes(InferenceMode::F64Batched, 3);
-        m.record_miss_modes(InferenceMode::Int8Batched, 5);
-        m.record_miss_modes(InferenceMode::Int8Batched, 0); // no-op
-        let snap = m.snapshot(CacheStats::default());
-        assert_eq!(snap.misses_f64_serial, 2);
-        assert_eq!(snap.misses_f64_batched, 3);
-        assert_eq!(snap.misses_int8_batched, 5);
-        let text = serde_json::to_string(&snap.to_value());
-        assert!(text.contains("\"inference\""), "{text}");
-        assert!(text.contains("\"f64_serial\":2"), "{text}");
-        assert!(text.contains("\"f64_batched\":3"), "{text}");
-        assert!(text.contains("\"int8_batched\":5"), "{text}");
     }
 
     #[test]
@@ -913,7 +836,6 @@ mod tests {
         for series in [
             "qrc_requests_total 1",
             "qrc_responses_total{cache=\"miss\"} 1",
-            "qrc_misses_total{mode=\"f64_serial\"}",
             "qrc_stage_duration_microseconds_bucket{stage=\"queue_wait\",le=\"16\"} 1",
             "qrc_stage_duration_microseconds_sum{stage=\"compute\"} 4000",
             "qrc_stage_duration_microseconds_count{stage=\"batch_assembly\"} 1",

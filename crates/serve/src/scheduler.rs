@@ -52,56 +52,6 @@ enum Resolution {
     Computed(JobOutcome),
 }
 
-/// How the scheduler computes cache misses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InferenceMode {
-    /// One f64 policy forward per rollout step per job — the legacy
-    /// matrix-vector path, kept as the reference implementation.
-    F64Serial,
-    /// Concurrent misses routed to the same model are stacked and each
-    /// rollout tick runs **one** f64 matrix-matrix forward. Outcomes
-    /// are bit-identical to [`InferenceMode::F64Serial`].
-    F64Batched,
-    /// Batched int8 inference, per-model gated by the predictor's
-    /// equivalence check; a model whose gate fails serves its group on
-    /// the bit-exact [`InferenceMode::F64Batched`] path instead.
-    Int8Batched,
-}
-
-impl InferenceMode {
-    /// Stable name used in metrics and bench reports.
-    pub const fn name(self) -> &'static str {
-        match self {
-            InferenceMode::F64Serial => "f64_serial",
-            InferenceMode::F64Batched => "f64_batched",
-            InferenceMode::Int8Batched => "int8_batched",
-        }
-    }
-}
-
-/// How many unique misses each inference mode actually computed — the
-/// *effective* mode per model group, so an int8 request falling back to
-/// f64 (gate failure) is visible as f64 traffic, not mislabeled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MissModeCounts {
-    /// Misses computed one forward at a time in f64.
-    pub f64_serial: u64,
-    /// Misses computed by batched f64 inference.
-    pub f64_batched: u64,
-    /// Misses computed by batched int8 inference.
-    pub int8_batched: u64,
-}
-
-impl MissModeCounts {
-    fn add(&mut self, mode: InferenceMode, count: u64) {
-        match mode {
-            InferenceMode::F64Serial => self.f64_serial += count,
-            InferenceMode::F64Batched => self.f64_batched += count,
-            InferenceMode::Int8Batched => self.int8_batched += count,
-        }
-    }
-}
-
 /// Per-response stage durations, aligned with
 /// [`BatchReport::responses`]: the slices of one request's `micros`
 /// that the observability layer attributes to pipeline stages.
@@ -122,23 +72,16 @@ pub struct BatchReport {
     pub responses: Vec<ServeResponse>,
     /// Per-response stage durations, in request order.
     pub stages: Vec<ResponseStages>,
-    /// Unique misses computed, by effective inference mode (failed
-    /// computes — e.g. infeasible pins — are counted too: the rollout
-    /// engine still ran for them).
-    pub miss_modes: MissModeCounts,
 }
 
-/// Admission-time limits and execution mode of one scheduled batch.
+/// Admission-time limits and pool fan-out of one scheduled batch.
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Fan cache misses across the rayon pool.
+    /// Fan model groups of cache misses across the rayon pool.
     pub parallel: bool,
     /// Reject circuits wider than this many qubits at admission
     /// (`u32::MAX` disables the limit).
     pub max_qubits: u32,
-    /// How misses run: serial reference path, batched f64, or
-    /// gate-checked batched int8.
-    pub inference: InferenceMode,
 }
 
 impl Default for BatchOptions {
@@ -146,33 +89,19 @@ impl Default for BatchOptions {
         BatchOptions {
             parallel: true,
             max_qubits: u32::MAX,
-            inference: InferenceMode::F64Batched,
         }
     }
-}
-
-/// Runs one batch of requests to completion (no per-request queue
-/// delays, no admission limits). See [`run_batch_with`].
-pub fn run_batch(
-    registry: &ModelRegistry,
-    cache: &ResultCache,
-    master_seed: u64,
-    parallel: bool,
-    requests: &[ServeRequest],
-) -> Vec<ServeResponse> {
-    let options = BatchOptions {
-        parallel,
-        ..BatchOptions::default()
-    };
-    run_batch_with(registry, cache, master_seed, &options, requests, None)
 }
 
 /// Runs one batch of requests to completion.
 ///
 /// Identical jobs (same circuit content, objective, and device pin)
-/// are computed once; cache misses fan out across the rayon pool when
-/// `options.parallel` is set. The returned responses are byte-identical
-/// (save the latency field) between `parallel = true` and `false`.
+/// are computed once. The unique misses of each model advance in one
+/// lockstep rollout ([`TrainedPredictor::compile_batch`]), and model
+/// groups fan out across the rayon pool when `options.parallel` is
+/// set. The returned responses are byte-identical (save the latency
+/// field) between `parallel = true` and `false`, and to a
+/// [`TrainedPredictor::compile_request`] per unique job.
 ///
 /// `queue_waits_us`, when present, carries each request's time spent in
 /// the front-end queue before this batch was scheduled; it is folded
@@ -186,29 +115,7 @@ pub fn run_batch(
 /// policy rollout. Coalesced duplicates and cache hits do **not**
 /// re-report the miss's compute time — a batch of N duplicates adds the
 /// rollout to the latency ledger once, not N times.
-pub fn run_batch_with(
-    registry: &ModelRegistry,
-    cache: &ResultCache,
-    master_seed: u64,
-    options: &BatchOptions,
-    requests: &[ServeRequest],
-    queue_waits_us: Option<&[u64]>,
-) -> Vec<ServeResponse> {
-    run_batch_reported(
-        registry,
-        cache,
-        master_seed,
-        options,
-        requests,
-        queue_waits_us,
-    )
-    .responses
-}
-
-/// Like [`run_batch_with`], additionally reporting how many unique
-/// misses each inference mode computed (for the service's per-mode
-/// counters).
-pub fn run_batch_reported(
+pub fn run_batch(
     registry: &ModelRegistry,
     cache: &ResultCache,
     master_seed: u64,
@@ -258,27 +165,10 @@ pub fn run_batch_reported(
         admission_us.push(admission_start.elapsed().as_micros() as u64);
     }
 
-    // Execution: serial reference path runs each job's own rollout;
-    // the batched modes stack each model's jobs into lockstep rollouts
-    // (one matrix-matrix policy forward per tick) and fan *model
-    // groups* across the pool.
-    let mut miss_modes = MissModeCounts::default();
-    let outcomes: Vec<JobOutcome> = match options.inference {
-        InferenceMode::F64Serial => {
-            miss_modes.add(InferenceMode::F64Serial, jobs.len() as u64);
-            let compute = |job: &Job| -> JobOutcome {
-                let start = Instant::now();
-                let result = execute(job, master_seed);
-                (result.map(Arc::new), start.elapsed().as_micros() as u64)
-            };
-            if options.parallel {
-                jobs.par_iter().map(compute).collect()
-            } else {
-                jobs.iter().map(compute).collect()
-            }
-        }
-        mode => execute_grouped(&jobs, master_seed, mode, options.parallel, &mut miss_modes),
-    };
+    // Execution: each model's jobs advance in one lockstep rollout (one
+    // matrix-matrix policy forward per tick); model groups fan across
+    // the pool.
+    let outcomes = execute_grouped(&jobs, master_seed, options.parallel);
 
     // Publication: successful results enter the cache for future
     // batches.
@@ -348,30 +238,19 @@ pub fn run_batch_reported(
         responses.push(response);
         stages.push(parts);
     }
-    BatchReport {
-        responses,
-        stages,
-        miss_modes,
-    }
+    BatchReport { responses, stages }
 }
 
-/// Runs the batched execution stage: jobs are grouped by the model that
-/// serves them (in job order, so grouping is deterministic), each group
-/// runs one lockstep batched rollout, and groups fan across the rayon
-/// pool when `parallel` is set.
+/// Runs the execution stage: jobs are grouped by the model that serves
+/// them (in job order, so grouping is deterministic), each group runs
+/// one lockstep batched rollout, and groups fan across the rayon pool
+/// when `parallel` is set.
 ///
 /// Latency attribution: a lockstep group's wall-clock is shared work —
 /// each of its jobs reports the group's elapsed time divided by the
-/// group size (floored at 1µs), so a batch's summed miss cost stays
-/// comparable to the serial path's per-job timings instead of
-/// N-counting the shared rollout.
-fn execute_grouped(
-    jobs: &[Job],
-    master_seed: u64,
-    mode: InferenceMode,
-    parallel: bool,
-    miss_modes: &mut MissModeCounts,
-) -> Vec<JobOutcome> {
+/// group size (floored at 1µs), so a batch's summed miss cost is
+/// counted once instead of once per job.
+fn execute_grouped(jobs: &[Job], master_seed: u64, parallel: bool) -> Vec<JobOutcome> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut by_model: HashMap<*const TrainedPredictor, usize> = HashMap::new();
     for (i, job) in jobs.iter().enumerate() {
@@ -381,7 +260,7 @@ fn execute_grouped(
         });
         groups[group].push(i);
     }
-    let run_group = |indices: &Vec<usize>| -> (Vec<usize>, Vec<JobOutcome>, InferenceMode) {
+    let run_group = |indices: &Vec<usize>| -> Vec<JobOutcome> {
         let model = &jobs[indices[0]].model;
         let items: Vec<BatchCompileRequest<'_>> = indices
             .iter()
@@ -395,15 +274,9 @@ fn execute_grouped(
             })
             .collect();
         let start = Instant::now();
-        let (results, used_quantized) =
-            model.compile_batch(&items, mode == InferenceMode::Int8Batched);
+        let results = model.compile_batch(&items);
         let per_job_us = (start.elapsed().as_micros() as u64 / indices.len() as u64).max(1);
-        let effective = if used_quantized {
-            InferenceMode::Int8Batched
-        } else {
-            InferenceMode::F64Batched
-        };
-        let outcomes = indices
+        indices
             .iter()
             .zip(results)
             .map(|(&i, result)| {
@@ -415,18 +288,16 @@ fn execute_grouped(
                     });
                 (rendered, per_job_us)
             })
-            .collect();
-        (indices.clone(), outcomes, effective)
+            .collect()
     };
-    let finished: Vec<_> = if parallel {
+    let finished: Vec<Vec<JobOutcome>> = if parallel {
         groups.par_iter().map(run_group).collect()
     } else {
         groups.iter().map(run_group).collect()
     };
     let mut out: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
-    for (indices, outcomes, effective) in finished {
-        miss_modes.add(effective, indices.len() as u64);
-        for (i, outcome) in indices.into_iter().zip(outcomes) {
+    for (indices, outcomes) in groups.iter().zip(finished) {
+        for (&i, outcome) in indices.iter().zip(outcomes) {
             out[i] = Some(outcome);
         }
     }
@@ -435,8 +306,7 @@ fn execute_grouped(
         .collect()
 }
 
-/// Renders a rollout outcome to the wire shape (shared by the serial
-/// and batched execution paths so their bodies are byte-identical).
+/// Renders a rollout outcome to the wire shape.
 fn render(outcome: &CompilationOutcome) -> CompiledResult {
     CompiledResult {
         qasm: qasm::to_qasm(&outcome.circuit),
@@ -502,20 +372,6 @@ fn admit(
     ))
 }
 
-/// Runs one unique job: content-seeded policy rollout, rendered back to
-/// QASM.
-fn execute(job: &Job, master_seed: u64) -> Result<CompiledResult, String> {
-    let seed = task_seed(master_seed, job.key.mix());
-    let outcome = job
-        .model
-        .compile_request(&job.circuit, job.key.device_pin, seed)
-        .map_err(|e| {
-            let pin = job.key.device_pin.map_or("?", |p| p.name());
-            format!("pinned device `{pin}` rejected: {e}")
-        })?;
-    Ok(render(&outcome))
-}
-
 /// Convenience wrapper used by tests and the bench harness: admission
 /// errors aside, returns only whether every response body matches
 /// between a parallel and a serial execution of `requests`.
@@ -526,10 +382,15 @@ pub fn parallel_matches_serial(
     capacity: usize,
     shards: usize,
 ) -> bool {
-    let serial_cache = ResultCache::new(capacity, shards);
-    let parallel_cache = ResultCache::new(capacity, shards);
-    let serial = run_batch(registry, &serial_cache, master_seed, false, requests);
-    let parallel = run_batch(registry, &parallel_cache, master_seed, true, requests);
+    let run = |parallel: bool| {
+        let options = BatchOptions {
+            parallel,
+            ..BatchOptions::default()
+        };
+        let cache = ResultCache::new(capacity, shards);
+        run_batch(registry, &cache, master_seed, &options, requests, None).responses
+    };
+    let (serial, parallel) = (run(false), run(true));
     serial.len() == parallel.len()
         && serial
             .iter()

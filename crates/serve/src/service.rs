@@ -48,14 +48,6 @@ pub struct ServiceConfig {
     pub cache_shards: usize,
     /// Fan cache misses across the rayon pool.
     pub parallel: bool,
-    /// Stack concurrent misses into batched matrix-matrix policy
-    /// forwards (bit-identical to the serial path; `false` keeps the
-    /// one-forward-per-job reference path).
-    pub batch_inference: bool,
-    /// Serve misses with the gate-checked int8 policy (implies batched
-    /// inference; models whose equivalence gate fails fall back to the
-    /// bit-exact f64 path per model).
-    pub quantized: bool,
     /// Print training progress to stderr during a cold start.
     pub verbose: bool,
     /// Reject request lines longer than this many bytes before
@@ -78,8 +70,6 @@ impl Default for ServiceConfig {
             cache_capacity: 4096,
             cache_shards: 16,
             parallel: true,
-            batch_inference: true,
-            quantized: false,
             verbose: true,
             max_request_bytes: 1 << 20,
             max_circuit_qubits: 128,
@@ -265,11 +255,6 @@ impl CompilationService {
             batch_options: scheduler::BatchOptions {
                 parallel: config.parallel,
                 max_qubits: config.max_circuit_qubits,
-                inference: match (config.quantized, config.batch_inference) {
-                    (true, _) => scheduler::InferenceMode::Int8Batched,
-                    (false, true) => scheduler::InferenceMode::F64Batched,
-                    (false, false) => scheduler::InferenceMode::F64Serial,
-                },
             },
             max_request_bytes: config.max_request_bytes,
             rids: AtomicU64::new(0),
@@ -624,14 +609,15 @@ impl CompilationService {
         };
         let head = head_of_distribution(&requests, self.cache_capacity);
         let registry = self.registry();
-        let responses = scheduler::run_batch_with(
+        let responses = scheduler::run_batch(
             &registry,
             &self.cache,
             self.seed,
             &self.batch_options,
             &head,
             None,
-        );
+        )
+        .responses;
         let failed = responses.iter().filter(|r| r.result.is_err()).count() as u64;
         Ok(ReplayWarmup {
             missing: false,
@@ -799,7 +785,7 @@ impl CompilationService {
         // a restart never re-amplifies its own warmup).
         self.log_traffic(requests);
         let registry = self.registry();
-        let report = scheduler::run_batch_reported(
+        let report = scheduler::run_batch(
             &registry,
             &self.cache,
             self.seed,
@@ -807,24 +793,6 @@ impl CompilationService {
             requests,
             queue_waits_us,
         );
-        // Per-mode miss counters record what *actually* computed each
-        // miss (an int8 request whose gate failed shows up as f64).
-        for (mode, count) in [
-            (
-                scheduler::InferenceMode::F64Serial,
-                report.miss_modes.f64_serial,
-            ),
-            (
-                scheduler::InferenceMode::F64Batched,
-                report.miss_modes.f64_batched,
-            ),
-            (
-                scheduler::InferenceMode::Int8Batched,
-                report.miss_modes.int8_batched,
-            ),
-        ] {
-            self.metrics.record_miss_modes(mode, count);
-        }
         // Stage histograms: every scheduled request contributes its own
         // admission time; only the request that claimed a miss
         // contributes compute (hits and coalesced duplicates did no

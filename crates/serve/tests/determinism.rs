@@ -98,42 +98,110 @@ fn batch_boundaries_do_not_change_results() {
 
 #[test]
 fn batched_inference_is_byte_identical_to_serial_inference() {
-    let traffic = synthetic_mix(&TrafficConfig {
-        requests: 30,
+    use std::sync::Arc;
+
+    use qrc_circuit::qasm;
+    use qrc_device::DeviceId;
+    use qrc_predictor::task_seed;
+    use qrc_serve::{
+        CacheKey, CacheStatus, CompiledResult, ServeRequest, ServeResponse, ShardKey, ShardRoute,
+    };
+
+    // One cold-cache batch of repeated, pinned and infeasibly pinned
+    // requests: every unique job is a miss, and the misses of each
+    // model share its lockstep rollout tick by tick.
+    let mut traffic = synthetic_mix(&TrafficConfig {
+        requests: 40,
         max_qubits: 4,
+        pin_fraction: 0.3,
         ..TrafficConfig::default()
     });
+    let too_wide = qasm::to_qasm(&BenchmarkFamily::Ghz.generate(10));
+    for objective in RewardKind::ALL {
+        traffic.push(ServeRequest {
+            id: Some(format!("too-wide-{}", objective.name())),
+            qasm: too_wide.clone(),
+            objective,
+            device_pin: Some(DeviceId::OqcLucy),
+        });
+    }
+    let config = service_config(false);
+    let service = CompilationService::with_registry(tiny_registry(), &config);
+    let responses = service.handle_batch(&traffic);
+    assert_eq!(responses.len(), traffic.len());
 
-    // Cold caches on both sides, so every unique job runs the policy:
-    // this compares the single-row forward path against the batched
-    // matrix-matrix path, not the cache.
-    let serial = CompilationService::with_registry(
-        tiny_registry(),
-        &ServiceConfig {
-            batch_inference: false,
-            ..service_config(false)
-        },
-    );
-    let batched = CompilationService::with_registry(tiny_registry(), &service_config(false));
-
-    let a = serial.handle_batch(&traffic);
-    let b = batched.handle_batch(&traffic);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b.iter()) {
+    // The reference: each request compiled alone by the single-row
+    // rollout, keyed, seeded and rendered the way the scheduler does.
+    let registry = service.registry();
+    for (request, response) in traffic.iter().zip(&responses) {
+        let circuit = qasm::from_qasm(&request.qasm).expect("mix circuits parse");
+        let routed = registry
+            .route(ShardKey::for_request(
+                request.objective,
+                request.device_pin,
+                circuit.num_qubits(),
+            ))
+            .expect("every objective has a wildcard shard");
+        let key = CacheKey {
+            circuit_hash: circuit.structural_hash(),
+            device_pin: request.device_pin,
+            shard: routed.key,
+            generation: routed.generation,
+        };
+        let result = routed
+            .model
+            .compile_request(
+                &circuit,
+                request.device_pin,
+                task_seed(config.seed, key.mix()),
+            )
+            .map(|outcome| {
+                let rendered = CompiledResult {
+                    qasm: qasm::to_qasm(&outcome.circuit),
+                    device: outcome.device,
+                    actions: outcome.actions.iter().map(|a| a.name()).collect(),
+                    reward: outcome.reward,
+                };
+                (Arc::new(rendered), CacheStatus::Miss)
+            })
+            .map_err(|e| {
+                let pin = request.device_pin.map_or("?", |p| p.name());
+                format!("pinned device `{pin}` rejected: {e}")
+            });
+        let reference = ServeResponse {
+            id: request.id.clone(),
+            result,
+            micros: 0,
+            route: Some(ShardRoute {
+                shard: routed.key,
+                level: routed.level,
+            }),
+            rid: None,
+        };
         assert_eq!(
-            x.body_value(),
-            y.body_value(),
-            "batched inference diverged from serial inference"
+            response.payload_value(),
+            reference.payload_value(),
+            "lockstep rollout diverged from compile_request"
         );
     }
 
-    // Each side attributes every miss to its own inference mode.
-    let sm = serial.metrics();
-    let bm = batched.metrics();
-    assert!(sm.misses_f64_serial > 0);
-    assert_eq!(sm.misses_f64_batched + sm.misses_int8_batched, 0);
-    assert!(bm.misses_f64_batched > 0);
-    assert_eq!(bm.misses_f64_serial + bm.misses_int8_batched, 0);
+    // The batch exercised what it claims to: several misses per model
+    // on average, in-batch duplicates, feasible pins and rejected pins.
+    let status = |want: CacheStatus| {
+        responses
+            .iter()
+            .filter(|r| matches!(&r.result, Ok((_, got)) if *got == want))
+            .count()
+    };
+    assert!(status(CacheStatus::Miss) > 2 * RewardKind::ALL.len());
+    assert!(status(CacheStatus::Coalesced) > 0);
+    assert_eq!(status(CacheStatus::Hit), 0, "the cache starts cold");
+    assert!(traffic
+        .iter()
+        .zip(&responses)
+        .any(|(q, r)| q.device_pin.is_some() && r.result.is_ok()));
+    let rejected = responses.iter().filter(|r| r.result.is_err()).count();
+    assert_eq!(rejected, RewardKind::ALL.len());
 }
 
 #[test]

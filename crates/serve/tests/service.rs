@@ -400,6 +400,47 @@ fn ndjson_protocol_end_to_end() {
 }
 
 #[test]
+fn malformed_qasm_is_an_error_reply_and_serving_continues() {
+    let service = CompilationService::with_registry(
+        ModelRegistry::from_models(tiny_models()),
+        &quiet_config(),
+    );
+    let bodies = [
+        "h q]0[;",
+        "rz)0.5( q[0];",
+        "measure q]1[ -> c[0];",
+        "cx q[0],q[0];",
+        "rz(nan) q[0];",
+        "rz(inf) q[0];",
+    ];
+    let mut programs: Vec<String> = bodies
+        .iter()
+        .map(|body| format!("OPENQASM 2.0;\nqreg q[2];\n{body}\n"))
+        .collect();
+    programs.push("OPENQASM 2.0;\nqreg]2[;\n".into());
+    for (i, qasm) in programs.iter().enumerate() {
+        let line = format!(
+            r#"{{"id":"bad-{i}","qasm":{}}}"#,
+            serde_json::to_string(&serde_json::Value::from(qasm.clone()))
+        );
+        let parsed = serde_json::from_str(&service.handle_line(&line)).unwrap();
+        assert_eq!(parsed.get("ok").unwrap().as_bool(), Some(false), "{qasm}");
+        let error = parsed.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("invalid qasm"), "{qasm}: {error}");
+    }
+    // The service keeps answering well-formed requests afterwards.
+    let good = format!(
+        r#"{{"id":"good","qasm":{}}}"#,
+        serde_json::to_string(&serde_json::Value::from(bell_qasm()))
+    );
+    let parsed = serde_json::from_str(&service.handle_line(&good)).unwrap();
+    assert_eq!(parsed.get("ok").unwrap().as_bool(), Some(true));
+    let metrics = service.metrics();
+    assert_eq!(metrics.requests, programs.len() as u64 + 1);
+    assert_eq!(metrics.errors, programs.len() as u64);
+}
+
+#[test]
 fn handle_lines_preserves_order_with_mixed_validity() {
     let service = CompilationService::with_registry(
         ModelRegistry::from_models(tiny_models()),

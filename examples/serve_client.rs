@@ -28,13 +28,6 @@ fn main() {
         timesteps: 3_000,
         train_max_qubits: 4,
         verbose: true,
-        // Opt in to int8 inference for cache misses (what
-        // `qrc-serve --quantized` does). Each model must first pass an
-        // argmax-equivalence gate against its full-precision policy;
-        // a model that fails the gate silently keeps the bit-exact
-        // f64 path — the per-mode counters below show which path
-        // actually computed each miss.
-        quantized: true,
         ..ServiceConfig::default()
     })
     .expect("service starts");
@@ -99,10 +92,6 @@ fn main() {
         metrics.cache.hit_rate() * 100.0,
         metrics.p50_us,
         metrics.p99_us
-    );
-    println!(
-        "miss inference: {} f64-serial, {} f64-batched, {} int8-batched",
-        metrics.misses_f64_serial, metrics.misses_f64_batched, metrics.misses_int8_batched
     );
 
     // 5. The same protocol over TCP: start the pipelined socket front
