@@ -24,16 +24,12 @@
 //!   --train-max-qubits N  training-suite width for missing models (default 6)
 //!   --cache-capacity N  result cache entries            (default 4096)
 //!   --cache-shards N    cache shards                    (default 16)
-//!   --batch N           most requests per scheduled batch
-//!                       (default 16 pipelined, 1 with --blocking)
+//!   --batch N           most requests per scheduled batch (default 16)
 //!   --batch-wait-us N   batch-collection timeout in µs  (default 2000)
 //!   --queue N           bounded request-queue capacity  (default 1024)
 //!   --max-line-bytes N  reject request lines longer than N bytes
 //!                       (default 1048576)
 //!   --max-width N       reject circuits wider than N qubits (default 128)
-//!   --blocking          legacy stdin loop: read a batch, compute it,
-//!                       repeat (no I/O/compute overlap; stdin only)
-//!   --serial            compute cache misses serially (results identical)
 //!   --warm-cache        persist & pre-warm the result cache: import
 //!                       cache_snapshot.ndjson from the models dir
 //!                       before taking traffic (stale entries dropped,
@@ -59,6 +55,12 @@
 //!   --quiet             suppress startup/training progress
 //! ```
 //!
+//! Both transports run the pipelined front end (`qrc_serve::listener`):
+//! a reader overlaps I/O with compute through a bounded queue. On
+//! stdin, replies come back in stream order and a control line acts
+//! after every request before it has been answered; on a socket,
+//! control replies may overtake queued responses (correlate by `id`).
+//!
 //! Protocol: one request object per line in, one response per line
 //! out. `{"cmd":"stats"}` answers with live metrics (including loaded
 //! shard keys, checkpoint mtimes, and the known-device list),
@@ -72,21 +74,17 @@
 //! everything already read and exits 0. See the crate docs for the
 //! field reference.
 
-use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
 use qrc_serve::cliargs::{flag_value, usage_error};
-use qrc_serve::{
-    CompilationService, ControlRequest, FrontendConfig, InboundLine, ServeRequest, ServeResponse,
-    ServiceConfig, ShardKey, ShutdownFlag,
-};
+use qrc_serve::{CompilationService, FrontendConfig, ServiceConfig, ShardKey, ShutdownFlag};
 
 const USAGE: &str = "usage: qrc-serve [--listen ADDR] [--models DIR] [--device-dir DIR] \
                      [--shard SPEC]... [--timesteps N] [--seed N] \
                      [--train-max-qubits N] [--cache-capacity N] [--cache-shards N] \
                      [--batch N] [--batch-wait-us N] [--queue N] [--max-line-bytes N] \
-                     [--max-width N] [--blocking] [--serial] [--warm-cache] \
+                     [--max-width N] [--warm-cache] \
                      [--replay-log PATH] [--log-traffic PATH] \
                      [--log-requests] [--stats] [--metrics-listen ADDR] \
                      [--trace-sample N] [--trace-out PATH] [--quiet]";
@@ -97,9 +95,7 @@ fn main() {
     let mut frontend = FrontendConfig::default();
     let mut listen: Option<String> = None;
     let mut device_dir: Option<std::path::PathBuf> = None;
-    let mut batch: Option<usize> = None;
     let mut batch_wait_us: u64 = 2_000;
-    let mut blocking = false;
     let mut print_stats = false;
     let mut warm_cache = false;
     let mut replay_log: Option<std::path::PathBuf> = None;
@@ -145,11 +141,7 @@ fn main() {
                 parse_into(&args, &mut i, "cache-capacity", &mut config.cache_capacity)
             }
             "--cache-shards" => parse_into(&args, &mut i, "cache-shards", &mut config.cache_shards),
-            "--batch" => {
-                let mut value = 0usize;
-                parse_into(&args, &mut i, "batch", &mut value);
-                batch = Some(value);
-            }
+            "--batch" => parse_into(&args, &mut i, "batch", &mut frontend.batch_size),
             "--batch-wait-us" => parse_into(&args, &mut i, "batch-wait-us", &mut batch_wait_us),
             "--queue" => parse_into(&args, &mut i, "queue", &mut frontend.queue_capacity),
             "--max-line-bytes" => parse_into(
@@ -159,8 +151,6 @@ fn main() {
                 &mut config.max_request_bytes,
             ),
             "--max-width" => parse_into(&args, &mut i, "max-width", &mut config.max_circuit_qubits),
-            "--blocking" => blocking = true,
-            "--serial" => config.parallel = false,
             "--warm-cache" => warm_cache = true,
             "--replay-log" => match flag_value::<String>(&args, &mut i, "replay-log") {
                 Ok(path) => replay_log = Some(path.into()),
@@ -186,23 +176,13 @@ fn main() {
         }
         i += 1;
     }
-    if batch == Some(0) {
+    if frontend.batch_size == 0 {
         usage_error("--batch must be at least 1", USAGE);
     }
     if frontend.queue_capacity == 0 {
         usage_error("--queue must be at least 1", USAGE);
     }
-    if blocking && listen.is_some() {
-        usage_error("--blocking applies to stdin mode only", USAGE);
-    }
-    // The pipelined front end can collect a fuller batch without
-    // stalling anyone (its batch-wait timeout bounds the delay), so it
-    // defaults higher; the blocking loop answers nothing until a batch
-    // fills, so it keeps the pre-pipeline default of one per line.
-    frontend.batch_size = batch.unwrap_or(frontend.batch_size);
-    let blocking_batch = batch.unwrap_or(1);
     frontend.batch_wait = Duration::from_micros(batch_wait_us);
-    frontend.max_line_bytes = config.max_request_bytes;
     // Asking for a trace file without a sampling rate means "trace
     // everything": an explicit --trace-sample still wins.
     if trace_out.is_some() && trace_sample == 0 {
@@ -210,16 +190,16 @@ fn main() {
     }
 
     let shutdown = ShutdownFlag::new();
-    // Every front end drains on SIGTERM now. Socket mode polls the
-    // flag everywhere (nonblocking accept, read timeouts); the stdin
-    // modes observe it from their drain side, which answers and
-    // flushes everything already read and then returns without waiting
-    // on a reader that SA_RESTART keeps parked in a blocking stdin
-    // read. Installed *before* the (possibly minutes-long) model
-    // startup: a TERM during training used to hit the default
-    // disposition and kill the process with exit 143, which
-    // orchestrators read as a failed shutdown. Now it marks the flag,
-    // startup completes, and the front end drains and exits 0.
+    // Every front end drains on SIGTERM. Socket mode polls the flag
+    // everywhere (nonblocking accept, read timeouts); stdin mode
+    // observes it from its drain side, which answers and flushes
+    // everything already read and then returns without waiting on a
+    // reader that SA_RESTART keeps parked in a blocking stdin read.
+    // Installed *before* the (possibly minutes-long) model startup: a
+    // TERM during training used to hit the default disposition and
+    // kill the process with exit 143, which orchestrators read as a
+    // failed shutdown. Now it marks the flag, startup completes, and
+    // the front end drains and exits 0.
     qrc_serve::install_sigterm_bridge(&shutdown);
 
     // Dynamic device specs load before the service starts: a snapshot
@@ -254,17 +234,12 @@ fn main() {
     };
     if config.verbose {
         eprintln!(
-            "qrc-serve ready: {} policy shards from {} in {:.2}s (cache {} entries × {} shards, {})",
+            "qrc-serve ready: {} policy shards from {} in {:.2}s (cache {} entries × {} shards)",
             service.registry().len(),
             config.models_dir.display(),
             start.elapsed().as_secs_f64(),
             config.cache_capacity,
             config.cache_shards,
-            if config.parallel {
-                "parallel"
-            } else {
-                "serial"
-            },
         );
     }
 
@@ -385,7 +360,6 @@ fn main() {
             }
             qrc_serve::serve_socket(&service, listener, &frontend, &shutdown)
         }
-        None if blocking => serve_stdin_blocking(&service, blocking_batch, &shutdown),
         None => qrc_serve::serve_stdin(&service, &frontend, &shutdown),
     };
 
@@ -444,164 +418,6 @@ fn main() {
     if let Err(e) = served {
         eprintln!("error: serving ended early, remaining requests dropped: {e}");
         std::process::exit(1);
-    }
-}
-
-/// The pre-pipeline stdin loop, kept for comparison and for callers
-/// that want strictly serialized read-then-compute behavior: reads up
-/// to `batch_size` lines, schedules them as one batch, repeats. No
-/// reader thread, so I/O and compute never overlap.
-///
-/// Lines are read whole before the service's size limit can reject
-/// them (plain `BufRead::lines`), so unlike the pipelined front ends
-/// this path buffers an oversized line in memory first — acceptable
-/// for its trusted-operator-pipe use, not for network input.
-///
-/// Lines arrive through a channel fed by a reader thread so the loop
-/// can observe an out-of-band shutdown (the SIGTERM bridge) between
-/// reads: a TERM-initiated drain answers and flushes everything read,
-/// then returns cleanly — exit 0, not 143 — while the reader may stay
-/// parked in a blocking stdin read until the process exits.
-fn serve_stdin_blocking(
-    service: &CompilationService,
-    batch_size: usize,
-    shutdown: &ShutdownFlag,
-) -> std::io::Result<()> {
-    let (line_tx, line_rx) =
-        std::sync::mpsc::sync_channel::<std::io::Result<String>>(batch_size.max(1));
-    std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let broken = line.is_err();
-            if line_tx.send(line).is_err() || broken {
-                return;
-            }
-        }
-    });
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut pending: Vec<String> = Vec::with_capacity(batch_size);
-    let flush = |pending: &mut Vec<String>, out: &mut dyn Write| {
-        if pending.is_empty() {
-            return;
-        }
-        for line in service.handle_lines(pending) {
-            let _ = writeln!(out, "{line}");
-        }
-        let _ = out.flush();
-        pending.clear();
-    };
-    let mut read_error: Option<std::io::Error> = None;
-    loop {
-        let line = match line_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(Ok(line)) => line,
-            Ok(Err(e)) => {
-                // A broken input stream (e.g. invalid UTF-8) kills the
-                // session: answer what we have, report the error so
-                // main exits nonzero — the caller must learn that
-                // responses are missing.
-                read_error = Some(e);
-                break;
-            }
-            // EOF: the reader thread finished and dropped its sender.
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                // Quiet stdin: the moment a TERM-initiated drain can
-                // finish — everything read is answered below.
-                if shutdown.is_requested() {
-                    break;
-                }
-                continue;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        // Control lines work in blocking mode too. They are answered
-        // in stream order: everything read before them is flushed
-        // first, so stats reflect prior lines and shutdown drains.
-        if line.contains("\"cmd\"") {
-            match InboundLine::parse(&line) {
-                Ok(InboundLine::Control(ControlRequest::Stats)) => {
-                    flush(&mut pending, &mut out);
-                    let _ = writeln!(out, "{}", serde_json::to_string(&service.stats_value()));
-                    let _ = out.flush();
-                    continue;
-                }
-                Ok(InboundLine::Control(ControlRequest::Reload)) => {
-                    // Stream order matters here too: answer everything
-                    // read before the reload with the shard map it was
-                    // read under, then swap.
-                    flush(&mut pending, &mut out);
-                    let _ = writeln!(out, "{}", serde_json::to_string(&service.reload_value()));
-                    let _ = out.flush();
-                    continue;
-                }
-                Ok(InboundLine::Control(ControlRequest::Snapshot)) => {
-                    // Stream order again: snapshot what was answered
-                    // before this line, not what is still pending.
-                    flush(&mut pending, &mut out);
-                    let _ = writeln!(out, "{}", serde_json::to_string(&service.snapshot_value()));
-                    let _ = out.flush();
-                    continue;
-                }
-                Ok(InboundLine::Control(ControlRequest::Metrics)) => {
-                    // Stream order: the exposition reflects everything
-                    // answered before this line.
-                    flush(&mut pending, &mut out);
-                    let _ = writeln!(out, "{}", serde_json::to_string(&service.metrics_value()));
-                    let _ = out.flush();
-                    continue;
-                }
-                Ok(InboundLine::Control(ControlRequest::Calibrate {
-                    device,
-                    calibration,
-                })) => {
-                    // Stream order: everything read before the
-                    // calibrate is answered under the old calibration.
-                    flush(&mut pending, &mut out);
-                    let _ = writeln!(
-                        out,
-                        "{}",
-                        serde_json::to_string(&service.calibrate_value(&device, &calibration))
-                    );
-                    let _ = out.flush();
-                    continue;
-                }
-                Ok(InboundLine::Control(ControlRequest::Shutdown)) => {
-                    flush(&mut pending, &mut out);
-                    let _ = writeln!(out, r#"{{"ok":true,"shutting_down":true}}"#);
-                    let _ = out.flush();
-                    break;
-                }
-                // `"cmd"` inside an ordinary request's payload: let
-                // the scheduler answer it.
-                Ok(InboundLine::Request(_)) => {}
-                Err(message) => {
-                    flush(&mut pending, &mut out);
-                    let response = ServeResponse {
-                        id: ServeRequest::recover_id(&line),
-                        result: Err(message),
-                        micros: 1,
-                        route: None,
-                        rid: None,
-                    };
-                    service.record(&response);
-                    let _ = writeln!(out, "{}", response.to_line());
-                    let _ = out.flush();
-                    continue;
-                }
-            }
-        }
-        pending.push(line);
-        if pending.len() >= batch_size {
-            flush(&mut pending, &mut out);
-        }
-    }
-    flush(&mut pending, &mut out);
-    match read_error {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 

@@ -7,10 +7,17 @@
 //! * [`serve_socket`] — a TCP listener speaking NDJSON, one reader and
 //!   one writer thread per connection, back-pressure rejections when
 //!   the queue is full;
-//! * [`serve_stdin`] — the classic stdin/stdout mode, re-plumbed
-//!   through the same queue so reading the next lines overlaps with
-//!   compiling the previous batch (the reader blocks instead of
-//!   rejecting when the queue is full: stdin traffic is lossless).
+//! * [`serve_stdin`] — stdin/stdout through the same queue, so reading
+//!   the next lines overlaps with compiling the previous batch (the
+//!   reader blocks instead of rejecting when the queue is full: stdin
+//!   traffic is lossless).
+//!
+//! Every front end reads lines the same way: one bounded line reader
+//! that answers an oversized line without buffering it, and one
+//! classifier that splits compilation requests from control lines and
+//! answers malformed control lines in place. The socket transport and
+//! the fleet router (`qrc-lb`) also share one accept loop, one
+//! connection loop, and one bounded reply sink per connection.
 //!
 //! In-band control lines are answered by the front end directly:
 //! `{"cmd":"stats"}` returns a live metrics snapshot (including the
@@ -24,9 +31,10 @@
 //! answered, then the serve call returns. On the socket transport,
 //! control replies and back-pressure rejections are written as soon as
 //! they are produced, so they may overtake compile responses that are
-//! still queued; clients correlate by `id`. The stdin transport routes
-//! inline replies through the request queue instead, so its responses
-//! come back in stream order.
+//! still queued; clients correlate by `id`. On the stdin transport,
+//! replies come back in stream order, and a control line acts only
+//! after every request read before it has been answered and before any
+//! request read after it is scheduled.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
@@ -63,7 +71,10 @@ impl ShutdownFlag {
     }
 }
 
-/// Tuning of the pipelined front end.
+/// Tuning of the pipelined front end. The request-line limit is not
+/// here: the readers enforce the service's own
+/// [`crate::ServiceConfig::max_request_bytes`], without buffering an
+/// oversized line.
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
     /// Most requests per scheduled batch.
@@ -74,9 +85,6 @@ pub struct FrontendConfig {
     /// Bounded request-queue capacity; beyond it the socket front end
     /// rejects with a structured `overloaded` error.
     pub queue_capacity: usize,
-    /// Reject request lines longer than this many bytes without
-    /// buffering them.
-    pub max_line_bytes: usize,
     /// Emit one structured JSON log line per request to stderr.
     pub log_requests: bool,
 }
@@ -87,14 +95,13 @@ impl Default for FrontendConfig {
             batch_size: 16,
             batch_wait: Duration::from_millis(2),
             queue_capacity: 1024,
-            max_line_bytes: 1 << 20,
             log_requests: false,
         }
     }
 }
 
-/// Decrements the active-reader count on drop — including on panic —
-/// so the accept loop's drain wait can always reach zero.
+/// Decrements the active-connection count on drop — including on
+/// panic — so the accept loop's drain wait can always reach zero.
 struct ReaderGuard<'a>(&'a AtomicUsize);
 
 impl Drop for ReaderGuard<'_> {
@@ -109,13 +116,13 @@ impl Drop for ReaderGuard<'_> {
 /// instead of buffering unboundedly; the reader then sees EOF and the
 /// writer drains what it already holds.
 #[derive(Clone)]
-struct ReplySink {
-    tx: mpsc::SyncSender<String>,
-    stream: Arc<TcpStream>,
+pub(crate) struct ReplySink {
+    pub(crate) tx: mpsc::SyncSender<String>,
+    pub(crate) stream: Arc<TcpStream>,
 }
 
 impl ReplySink {
-    fn send(&self, line: String) {
+    pub(crate) fn send(&self, line: String) {
         if self.tx.try_send(line).is_err() {
             let _ = self.stream.shutdown(std::net::Shutdown::Both);
         }
@@ -147,94 +154,202 @@ pub fn serve_socket(
     config: &FrontendConfig,
     shutdown: &ShutdownFlag,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
     let queue = Arc::new(BoundedQueue::new(config.queue_capacity.max(1)));
     install_queue_probe(service, &queue);
-    let active_readers = Arc::new(AtomicUsize::new(0));
-
-    let accept_loop = {
+    let acceptor = {
         let service = Arc::clone(service);
         let queue = Arc::clone(&queue);
-        let active_readers = Arc::clone(&active_readers);
         let config = config.clone();
         let shutdown = shutdown.clone();
         std::thread::spawn(move || {
-            let mut next_conn: u64 = 0;
-            while !shutdown.is_requested() {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // On BSD-likes an accepted socket inherits the
-                        // listener's O_NONBLOCK; force blocking so the
-                        // per-connection read timeout governs polling
-                        // instead of a busy-spin.
-                        if stream.set_nonblocking(false).is_err() {
-                            continue;
-                        }
-                        next_conn += 1;
-                        let conn = next_conn;
-                        active_readers.fetch_add(1, Ordering::SeqCst);
-                        let service = Arc::clone(&service);
-                        let queue = Arc::clone(&queue);
-                        let active_readers = Arc::clone(&active_readers);
-                        let config = config.clone();
-                        let shutdown = shutdown.clone();
-                        std::thread::spawn(move || {
-                            // Drop guard: the count must fall even if
-                            // the connection handler panics, or the
-                            // shutdown wait below spins forever.
-                            let _guard = ReaderGuard(&active_readers);
-                            handle_connection(&service, stream, conn, &queue, &config, &shutdown);
-                        });
-                    }
-                    // Nonblocking accept: poll so the shutdown flag is
-                    // observed even while no clients connect.
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(25)),
-                }
-            }
-            // Drain: no new connections; readers finish answering or
-            // rejecting what they already read, then the queue closes
-            // and the scheduler loop below runs dry.
-            while active_readers.load(Ordering::SeqCst) > 0 {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            let handler_queue = Arc::clone(&queue);
+            let handler_shutdown = shutdown.clone();
+            let accepted = accept_connections(listener, &shutdown, move |stream, conn| {
+                handle_connection(
+                    &service,
+                    stream,
+                    conn,
+                    &handler_queue,
+                    &config,
+                    &handler_shutdown,
+                );
+            });
+            // Every connection has finished answering or rejecting
+            // what it read, so nothing more can be enqueued: close the
+            // queue and the scheduler loop below runs dry.
             queue.close();
+            accepted
         })
     };
 
     drain_queue(service, &queue, config);
-    accept_loop.join().expect("accept loop panicked");
+    acceptor.join().expect("accept loop panicked")
+}
+
+/// One replica connection: requests are queued (or rejected as
+/// `overloaded` when the queue is full); control lines, oversized
+/// lines and malformed control lines are answered at once.
+fn handle_connection(
+    service: &Arc<CompilationService>,
+    stream: TcpStream,
+    conn: u64,
+    queue: &BoundedQueue<Envelope>,
+    config: &FrontendConfig,
+    shutdown: &ShutdownFlag,
+) {
+    // The reply window bounds unread responses per connection. It sits
+    // above the kernel's own socket buffering, so only a client that
+    // has genuinely stopped reading can fill it.
+    let window = config.queue_capacity.max(256);
+    serve_connection(
+        stream,
+        window,
+        service.max_request_bytes(),
+        shutdown,
+        |inbound, reply| {
+            match inbound {
+                Inbound::Request(line) => {
+                    let envelope = Envelope {
+                        line,
+                        arrival: Instant::now(),
+                        reply: reply.clone(),
+                        conn,
+                    };
+                    match queue.try_push(envelope) {
+                        Ok(()) => {}
+                        Err(PushError::Full(envelope)) => {
+                            service.record_rejected();
+                            let response =
+                                ServeResponse::overloaded(ServeRequest::recover_id(&envelope.line));
+                            reply.send(log_reply(config, conn, &response));
+                        }
+                        Err(PushError::Closed(_)) => return true,
+                    }
+                }
+                Inbound::Control(request, _) => {
+                    reply.send(control_reply(service, &request, shutdown))
+                }
+                Inbound::Oversized(response) | Inbound::Malformed(response) => {
+                    service.record(&response);
+                    reply.send(log_reply(config, conn, &response));
+                }
+            }
+            false
+        },
+    );
+}
+
+/// The accept loop of every socket front end (replicas and the fleet
+/// router): accepts until shutdown is requested, runs `handle` on its
+/// own thread for each connection (numbered from 1), then waits until
+/// every handler has returned.
+///
+/// # Errors
+///
+/// Returns the I/O error if the listener cannot be made nonblocking.
+pub(crate) fn accept_connections<H>(
+    listener: TcpListener,
+    shutdown: &ShutdownFlag,
+    handle: H,
+) -> std::io::Result<()>
+where
+    H: Fn(TcpStream, u64) + Send + Sync + 'static,
+{
+    listener.set_nonblocking(true)?;
+    let handle = Arc::new(handle);
+    let active = Arc::new(AtomicUsize::new(0));
+    let mut next_conn: u64 = 0;
+    while !shutdown.is_requested() {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                // On BSD-likes an accepted socket inherits the
+                // listener's O_NONBLOCK; force blocking so the
+                // per-connection read timeout governs polling instead
+                // of a busy-spin.
+                if stream.set_nonblocking(false).is_err() {
+                    continue;
+                }
+                next_conn += 1;
+                let conn = next_conn;
+                active.fetch_add(1, Ordering::SeqCst);
+                let handle = Arc::clone(&handle);
+                let active = Arc::clone(&active);
+                std::thread::spawn(move || {
+                    // Drop guard: the count must fall even if the
+                    // handler panics, or the drain wait below spins
+                    // forever.
+                    let _guard = ReaderGuard(&active);
+                    handle(stream, conn);
+                });
+            }
+            // Nonblocking accept (or a transient accept error): poll so
+            // the shutdown flag is observed even while no clients
+            // connect.
+            Err(_) => std::thread::sleep(Duration::from_millis(25)),
+        }
+    }
+    // Drain: no new connections; handlers finish what they already read.
+    while active.load(Ordering::SeqCst) > 0 {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     Ok(())
 }
 
-/// One unit the stdin pipeline hands from the reader to the drain
-/// loop, in arrival order: a request to schedule, or a reply the
-/// reader already produced inline (control line, parse error,
-/// oversized line). Routing inline replies through the queue keeps
-/// stdin responses in stream order and leaves stdout owned by a single
-/// thread — the drain loop — so a TERM-initiated drain flushes
-/// everything it answered before returning, without having to join a
-/// reader that is parked in an uninterruptible blocking stdin read.
-enum StdinItem {
-    /// A compilation request bound for the scheduler.
-    Request { line: String, arrival: Instant },
-    /// A reply the reader produced inline, already rendered.
-    Answered(String),
+/// One client connection, the same for replicas and the fleet router:
+/// a writer thread drains the connection's [`ReplySink`] (at most
+/// `reply_window` unread replies) while this thread runs the shared
+/// read loop, handing each inbound line and the sink to `handle` until
+/// the stream ends, shutdown is requested, or `handle` returns `true`.
+pub(crate) fn serve_connection(
+    stream: TcpStream,
+    reply_window: usize,
+    max_line_bytes: usize,
+    shutdown: &ShutdownFlag,
+    mut handle: impl FnMut(Inbound, &ReplySink) -> bool,
+) {
+    // A third handle lets the reply sink sever a connection whose
+    // client stopped reading (the slow-consumer disconnect).
+    let (Ok(write_half), Ok(disconnect)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
+    };
+    let (tx, replies) = mpsc::sync_channel::<String>(reply_window);
+    let reply = ReplySink {
+        tx,
+        stream: Arc::new(disconnect),
+    };
+    let writer = std::thread::spawn(move || write_loop(&mut BufWriter::new(write_half), &replies));
+
+    // Poll reads so a quiet connection still observes shutdown.
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .ok();
+    // A read error ends this connection only.
+    let _ = read_inbound(
+        &mut BufReader::new(stream),
+        max_line_bytes,
+        shutdown,
+        |inbound| handle(inbound, &reply),
+    );
+    drop(reply);
+    writer.join().expect("connection writer panicked");
 }
 
 /// Serves NDJSON on stdin/stdout through the same pipelined queue: a
 /// reader thread pulls lines (blocking on back-pressure rather than
-/// rejecting) while the scheduler compiles the previous batch. Returns
-/// after EOF or `{"cmd":"shutdown"}`, once every read request is
-/// answered — or, when `shutdown` is requested out-of-band (the
-/// SIGTERM bridge), once everything already read has been answered and
-/// flushed, even though the reader may still be parked in a blocking
-/// stdin read that no signal will interrupt.
+/// rejecting) while the scheduler compiles the previous batch.
+///
+/// Replies come back in stream order, and a control line acts on the
+/// service only after every request read before it has been answered
+/// and before any request read after it is scheduled: `stats` counts
+/// exactly the lines before it, and a `reload` or `calibrate` applies
+/// from the next line on.
+///
+/// Returns after EOF or `{"cmd":"shutdown"}` (lines after it are not
+/// read), once every read request is answered — or, when `shutdown` is
+/// requested out-of-band (the SIGTERM bridge), once everything already
+/// read has been answered and flushed, even though the reader may
+/// still be parked in a blocking stdin read that no signal will
+/// interrupt.
 ///
 /// # Errors
 ///
@@ -249,63 +364,26 @@ pub fn serve_stdin(
     let queue = Arc::new(BoundedQueue::new(config.queue_capacity.max(1)));
     install_queue_probe(service, &queue);
 
+    // The reader only reads and classifies. Every reply — control
+    // replies and in-place errors included — is produced by the drain
+    // loop below, in arrival order, which leaves stdout owned by a
+    // single thread: a TERM-initiated drain flushes everything it
+    // answered before returning, without having to join a reader that
+    // is parked in an uninterruptible blocking stdin read.
     let reader = {
-        let service = Arc::clone(service);
         let queue = Arc::clone(&queue);
-        let config = config.clone();
+        let max_line_bytes = service.max_request_bytes();
         let shutdown = shutdown.clone();
         std::thread::spawn(move || -> std::io::Result<()> {
-            let mut read_error = None;
             let mut input = std::io::stdin().lock();
-            loop {
-                if shutdown.is_requested() {
-                    break;
-                }
-                match read_bounded_line(&mut input, config.max_line_bytes, &shutdown) {
-                    Err(e) => {
-                        read_error = Some(e);
-                        break;
-                    }
-                    Ok(ReadLine::Eof) => break,
-                    Ok(ReadLine::TooLong(bytes)) => {
-                        let response = oversized_response(bytes, config.max_line_bytes);
-                        service.record(&response);
-                        let answer = log_reply(&config, 0, &response);
-                        if queue.push_wait(StdinItem::Answered(answer)).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(ReadLine::Line(line)) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        match triage(&service, &line, &shutdown, 0, &config) {
-                            Triage::Handled(answer) => {
-                                let stop = shutdown.is_requested();
-                                if queue.push_wait(StdinItem::Answered(answer)).is_err() || stop {
-                                    break;
-                                }
-                            }
-                            Triage::Schedule => {
-                                let item = StdinItem::Request {
-                                    line,
-                                    arrival: Instant::now(),
-                                };
-                                // Lossless: stdin lines block on a full
-                                // queue instead of being rejected.
-                                if queue.push_wait(item).is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            let read = read_inbound(&mut input, max_line_bytes, &shutdown, |inbound| {
+                let last = matches!(inbound, Inbound::Control(ControlRequest::Shutdown, _));
+                // Lossless: stdin lines block on a full queue instead
+                // of being rejected.
+                queue.push_wait((inbound, Instant::now())).is_err() || last
+            });
             queue.close();
-            match read_error {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            read
         })
     };
 
@@ -341,40 +419,7 @@ pub fn serve_stdin(
                     crate::metrics::Stage::BatchAssembly,
                     assembly.as_micros() as u64,
                 );
-                // Split in arrival order: schedule the requests, then
-                // interleave their responses back between the inline
-                // replies so the output stream mirrors the input.
-                let mut slots: Vec<Option<String>> = Vec::with_capacity(batch.len());
-                let mut items = Vec::new();
-                for item in batch {
-                    match item {
-                        StdinItem::Answered(answer) => slots.push(Some(answer)),
-                        StdinItem::Request { line, arrival } => {
-                            items.push(QueuedLine {
-                                line,
-                                queue_us: arrival.elapsed().as_micros() as u64,
-                            });
-                            slots.push(None);
-                        }
-                    }
-                }
-                let responses = service.handle_queued(&items);
-                let mut next = responses.iter();
-                for slot in slots {
-                    match slot {
-                        Some(answer) => {
-                            let _ = writeln!(out, "{answer}");
-                        }
-                        None => {
-                            if let Some(response) = next.next() {
-                                if config.log_requests {
-                                    eprintln!("{}", request_log_line(0, response));
-                                }
-                                let _ = writeln!(out, "{}", response.to_line());
-                            }
-                        }
-                    }
-                }
+                answer_in_order(service, config, shutdown, batch, &mut out);
                 let _ = out.flush();
             }
         }
@@ -397,6 +442,63 @@ pub fn serve_stdin(
         std::thread::sleep(Duration::from_millis(10));
     }
     Ok(())
+}
+
+/// Answers one popped stdin batch in arrival order. The batch is cut at
+/// its control lines: the requests before a control line are scheduled
+/// together and answered (in-place replies interleaved where they were
+/// read), then the control line acts and is answered, then the next
+/// stretch begins.
+fn answer_in_order(
+    service: &CompilationService,
+    config: &FrontendConfig,
+    shutdown: &ShutdownFlag,
+    batch: Vec<(Inbound, Instant)>,
+    out: &mut impl Write,
+) {
+    let mut batch = batch.into_iter();
+    loop {
+        let mut items = Vec::new();
+        // `None` holds a scheduled request's place between the in-place
+        // replies.
+        let mut slots: Vec<Option<ServeResponse>> = Vec::new();
+        let mut control = None;
+        for (inbound, arrival) in batch.by_ref() {
+            match inbound {
+                Inbound::Request(line) => {
+                    items.push(QueuedLine {
+                        line,
+                        queue_us: arrival.elapsed().as_micros() as u64,
+                    });
+                    slots.push(None);
+                }
+                Inbound::Oversized(response) | Inbound::Malformed(response) => {
+                    service.record(&response);
+                    slots.push(Some(response));
+                }
+                Inbound::Control(request, _) => {
+                    control = Some(request);
+                    break;
+                }
+            }
+        }
+        let mut scheduled = service.handle_queued(&items).into_iter();
+        for response in slots
+            .into_iter()
+            .filter_map(|slot| slot.or_else(|| scheduled.next()))
+        {
+            if config.log_requests {
+                eprintln!("{}", request_log_line(0, &response));
+            }
+            let _ = writeln!(out, "{}", response.to_line());
+        }
+        match control {
+            Some(request) => {
+                let _ = writeln!(out, "{}", control_reply(service, &request, shutdown));
+            }
+            None => return,
+        }
+    }
 }
 
 /// The scheduler half of the pipeline: pops batches off the queue
@@ -501,73 +603,109 @@ pub fn install_sigterm_bridge(shutdown: &ShutdownFlag) {
 #[cfg(not(unix))]
 pub fn install_sigterm_bridge(_shutdown: &ShutdownFlag) {}
 
-/// How the front end disposed of one inbound line before scheduling.
-enum Triage {
-    /// Answered directly (control command or front-end error); the
-    /// reply line is ready to send.
-    Handled(String),
-    /// A compilation request: enqueue it for the scheduler.
-    Schedule,
+/// One inbound line as every front end classifies it.
+pub(crate) enum Inbound {
+    /// A compilation request, still unparsed: the scheduler (or the
+    /// router's key extraction) decodes it.
+    Request(String),
+    /// A control command, with its raw line (the router fans it out
+    /// verbatim).
+    Control(ControlRequest, String),
+    /// A line over the size limit (its bytes were discarded unread),
+    /// answered in place.
+    Oversized(ServeResponse),
+    /// A control-looking line that does not parse, answered in place.
+    Malformed(ServeResponse),
 }
 
-/// Answers control lines and malformed control-looking lines inline;
-/// everything else is scheduled. The substring probe keeps the common
-/// path single-parse: compilation requests are only decoded once, by
-/// the scheduler.
-fn triage(
-    service: &CompilationService,
-    line: &str,
-    shutdown: &ShutdownFlag,
-    conn: u64,
-    config: &FrontendConfig,
-) -> Triage {
-    if !line.contains("\"cmd\"") {
-        return Triage::Schedule;
-    }
-    match InboundLine::parse(line) {
-        Ok(InboundLine::Control(ControlRequest::Stats)) => {
-            Triage::Handled(serde_json::to_string(&service.stats_value()))
+impl Inbound {
+    /// Classifies one non-blank line. The substring probe keeps the
+    /// common path single-parse: compilation requests are only decoded
+    /// once, by the scheduler.
+    fn classify(line: String) -> Inbound {
+        if !line.contains("\"cmd\"") {
+            return Inbound::Request(line);
         }
-        Ok(InboundLine::Control(ControlRequest::Reload)) => {
-            Triage::Handled(serde_json::to_string(&service.reload_value()))
-        }
-        Ok(InboundLine::Control(ControlRequest::Snapshot)) => {
-            Triage::Handled(serde_json::to_string(&service.snapshot_value()))
-        }
-        Ok(InboundLine::Control(ControlRequest::Metrics)) => {
-            Triage::Handled(serde_json::to_string(&service.metrics_value()))
-        }
-        Ok(InboundLine::Control(ControlRequest::Calibrate {
-            device,
-            calibration,
-        })) => Triage::Handled(serde_json::to_string(
-            &service.calibrate_value(&device, &calibration),
-        )),
-        Ok(InboundLine::Control(ControlRequest::Shutdown)) => {
-            shutdown.request();
-            Triage::Handled(serde_json::to_string(&Value::object(vec![
-                ("ok", Value::from(true)),
-                ("shutting_down", Value::from(true)),
-            ])))
-        }
-        // `"cmd"` appeared inside an ordinary request's payload.
-        Ok(InboundLine::Request(_)) => Triage::Schedule,
-        Err(message) => {
-            let response = ServeResponse {
-                // Front-end replies can overtake queued responses, so
+        match InboundLine::parse(&line) {
+            Ok(InboundLine::Control(request)) => Inbound::Control(request, line),
+            // `"cmd"` appeared inside an ordinary request's payload.
+            Ok(InboundLine::Request(_)) => Inbound::Request(line),
+            Err(message) => Inbound::Malformed(ServeResponse {
+                // Socket replies can overtake queued responses, so
                 // clients correlate by id — echo it when present.
-                id: ServeRequest::recover_id(line),
+                id: ServeRequest::recover_id(&line),
                 result: Err(message),
                 // Same clock-resolution floor as the service's line
                 // paths: never push 0 into the latency window.
                 micros: 1,
                 route: None,
                 rid: None,
-            };
-            service.record(&response);
-            Triage::Handled(log_reply(config, conn, &response))
+            }),
         }
     }
+}
+
+/// The read loop every front end shares: bounded line reads (an
+/// oversized line is answered, never buffered), blank lines skipped,
+/// every other line classified and handed to `handle`. Stops at EOF,
+/// once shutdown is requested, or when `handle` returns `true`.
+///
+/// # Errors
+///
+/// Returns the read error that broke the stream.
+fn read_inbound<R: BufRead>(
+    reader: &mut R,
+    max_line_bytes: usize,
+    shutdown: &ShutdownFlag,
+    mut handle: impl FnMut(Inbound) -> bool,
+) -> std::io::Result<()> {
+    while !shutdown.is_requested() {
+        let inbound = match read_bounded_line(reader, max_line_bytes, shutdown)? {
+            ReadLine::Eof => break,
+            ReadLine::TooLong(bytes) => {
+                Inbound::Oversized(oversized_response(bytes, max_line_bytes))
+            }
+            ReadLine::Line(line) if line.trim().is_empty() => continue,
+            ReadLine::Line(line) => Inbound::classify(line),
+        };
+        if handle(inbound) {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// Acts on one control command and renders its reply. A shutdown only
+/// marks the flag: each front end drains in its own way.
+fn control_reply(
+    service: &CompilationService,
+    request: &ControlRequest,
+    shutdown: &ShutdownFlag,
+) -> String {
+    let reply = match request {
+        ControlRequest::Stats => service.stats_value(),
+        ControlRequest::Reload => service.reload_value(),
+        ControlRequest::Snapshot => service.snapshot_value(),
+        ControlRequest::Metrics => service.metrics_value(),
+        ControlRequest::Calibrate {
+            device,
+            calibration,
+        } => service.calibrate_value(device, calibration),
+        ControlRequest::Shutdown => {
+            shutdown.request();
+            return shutdown_ack();
+        }
+    };
+    serde_json::to_string(&reply)
+}
+
+/// The reply to `{"cmd":"shutdown"}`, the same from a replica and from
+/// the fleet router.
+pub(crate) fn shutdown_ack() -> String {
+    serde_json::to_string(&Value::object(vec![
+        ("ok", Value::from(true)),
+        ("shutting_down", Value::from(true)),
+    ]))
 }
 
 /// Emits the structured log line for a reader-produced response
@@ -583,97 +721,9 @@ fn log_reply(config: &FrontendConfig, conn: u64, response: &ServeResponse) -> St
     response.to_line()
 }
 
-/// One connection's reader: pulls bounded lines, answers control and
-/// overload inline, enqueues the rest, and stops on EOF, error, or
-/// shutdown. Owns the connection's writer thread.
-fn handle_connection(
-    service: &Arc<CompilationService>,
-    stream: TcpStream,
-    conn: u64,
-    queue: &BoundedQueue<Envelope>,
-    config: &FrontendConfig,
-    shutdown: &ShutdownFlag,
-) {
-    let write_half = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    // A third handle lets the reply sink sever a connection whose
-    // client stopped reading (the slow-consumer disconnect).
-    let disconnect_handle = match stream.try_clone() {
-        Ok(clone) => Arc::new(clone),
-        Err(_) => return,
-    };
-    // The reply window bounds unread responses per connection. It sits
-    // above the kernel's own socket buffering, so only a client that
-    // has genuinely stopped reading can fill it.
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<String>(config.queue_capacity.max(256));
-    let reply = ReplySink {
-        tx: reply_tx,
-        stream: disconnect_handle,
-    };
-    let writer = std::thread::spawn(move || {
-        let mut out = BufWriter::new(write_half);
-        write_loop(&mut out, &reply_rx);
-    });
-
-    // Poll reads so a quiet connection still observes shutdown.
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .ok();
-    let mut reader = BufReader::new(stream);
-    loop {
-        if shutdown.is_requested() {
-            break;
-        }
-        match read_bounded_line(&mut reader, config.max_line_bytes, shutdown) {
-            Err(_) | Ok(ReadLine::Eof) => break,
-            Ok(ReadLine::TooLong(bytes)) => {
-                let response = oversized_response(bytes, config.max_line_bytes);
-                service.record(&response);
-                reply.send(log_reply(config, conn, &response));
-            }
-            Ok(ReadLine::Line(line)) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match triage(service, &line, shutdown, conn, config) {
-                    Triage::Handled(answer) => {
-                        reply.send(answer);
-                        if shutdown.is_requested() {
-                            break;
-                        }
-                    }
-                    Triage::Schedule => {
-                        let envelope = Envelope {
-                            line,
-                            arrival: Instant::now(),
-                            reply: reply.clone(),
-                            conn,
-                        };
-                        match queue.try_push(envelope) {
-                            Ok(()) => {}
-                            Err(PushError::Full(envelope)) => {
-                                service.record_rejected();
-                                let response = ServeResponse::overloaded(ServeRequest::recover_id(
-                                    &envelope.line,
-                                ));
-                                reply.send(log_reply(config, conn, &response));
-                            }
-                            Err(PushError::Closed(_)) => break,
-                        }
-                    }
-                }
-            }
-        }
-    }
-    drop(reply);
-    writer.join().expect("connection writer panicked");
-}
-
 /// Writes reply lines as they arrive, coalescing bursts into one
 /// flush. Exits when every sender is gone or the sink breaks.
-pub(crate) fn write_loop<W: Write>(out: &mut W, replies: &mpsc::Receiver<String>) {
+fn write_loop<W: Write>(out: &mut W, replies: &mpsc::Receiver<String>) {
     while let Ok(line) = replies.recv() {
         if writeln!(out, "{line}").is_err() {
             return;

@@ -37,13 +37,16 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use serde_json::Value;
 
-use crate::listener::{read_bounded_line, write_loop, ReadLine, ShutdownFlag};
-use crate::protocol::{ControlRequest, InboundLine, ServeRequest, ServeResponse, OVERLOADED_ERROR};
+use crate::listener::{
+    accept_connections, read_bounded_line, serve_connection, shutdown_ack, Inbound, ReadLine,
+    ReplySink, ShutdownFlag,
+};
+use crate::protocol::{ControlRequest, ServeRequest, ServeResponse, OVERLOADED_ERROR};
 use crate::ring::{mix_key, HashRing};
 use crate::shard::ShardKey;
 
@@ -102,25 +105,12 @@ impl Default for RouterConfig {
 struct Ticket {
     line: String,
     key: Option<u64>,
-    reply: ClientSink,
+    reply: ReplySink,
 }
 
-/// Routes reply lines back to one router client through a bounded
-/// channel; a client that stops reading is severed rather than
-/// buffered without limit (same policy as the replica front end).
-#[derive(Clone)]
-struct ClientSink {
-    tx: mpsc::SyncSender<String>,
-    stream: Arc<TcpStream>,
-}
-
-impl ClientSink {
-    fn send(&self, line: String) {
-        if self.tx.try_send(line).is_err() {
-            let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
-}
+/// Most unread replies per router client before the client is severed
+/// as a slow consumer.
+const CLIENT_REPLY_WINDOW: usize = 1024;
 
 /// The per-replica connection state guarded by one mutex: the write
 /// half of the data connection, the FIFO of in-flight tickets, and the
@@ -293,35 +283,12 @@ impl FleetRouter {
     /// Returns the underlying I/O error if the listener cannot be
     /// configured. Per-connection errors end that connection only.
     pub fn run(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let active_clients = Arc::new(AtomicUsize::new(0));
-        while !self.shutdown.is_requested() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
-                    active_clients.fetch_add(1, Ordering::SeqCst);
-                    let router = Arc::clone(self);
-                    let active = Arc::clone(&active_clients);
-                    std::thread::spawn(move || {
-                        router.handle_client(stream);
-                        active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(25)),
-            }
-        }
-        // Drain: clients finish answering what they already forwarded…
-        while active_clients.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // Accept until shutdown; this returns once every client has
+        // finished answering what it already forwarded…
+        let router = Arc::clone(self);
+        accept_connections(listener, &self.shutdown, move |stream, _| {
+            router.handle_client(stream);
+        })?;
         // …then every window runs dry (responses arrive or ejection
         // re-routes; an empty ring answers the leftovers inline).
         loop {
@@ -409,116 +376,46 @@ impl FleetRouter {
 
     // ----- client side ------------------------------------------------
 
-    /// One router client: reads NDJSON lines, answers control lines
-    /// from the fleet, forwards everything else.
+    /// One router client: answers control lines from the fleet and
+    /// forwards everything else.
     fn handle_client(self: &Arc<Self>, stream: TcpStream) {
-        let write_half = match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => return,
-        };
-        let disconnect = match stream.try_clone() {
-            Ok(clone) => Arc::new(clone),
-            Err(_) => return,
-        };
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<String>(1024);
-        let sink = ClientSink {
-            tx: reply_tx,
-            stream: disconnect,
-        };
-        let writer = std::thread::spawn(move || {
-            let mut out = BufWriter::new(write_half);
-            write_loop(&mut out, &reply_rx);
-        });
-        stream
-            .set_read_timeout(Some(Duration::from_millis(100)))
-            .ok();
-        let mut reader = BufReader::new(stream);
-        loop {
-            if self.shutdown.is_requested() {
-                break;
-            }
-            match read_bounded_line(&mut reader, self.config.max_line_bytes, &self.shutdown) {
-                Err(_) | Ok(ReadLine::Eof) => break,
-                Ok(ReadLine::TooLong(bytes)) => {
-                    let response = ServeResponse {
-                        id: None,
-                        result: Err(crate::service::oversized_error(
-                            bytes,
-                            self.config.max_line_bytes,
-                        )),
-                        micros: 1,
-                        route: None,
-                        rid: None,
-                    };
-                    sink.send(response.to_line());
-                }
-                Ok(ReadLine::Line(line)) => {
-                    if line.trim().is_empty() {
-                        continue;
+        serve_connection(
+            stream,
+            CLIENT_REPLY_WINDOW,
+            self.config.max_line_bytes,
+            &self.shutdown,
+            |inbound, reply| {
+                match inbound {
+                    Inbound::Request(line) => {
+                        let key = routing_key(&line);
+                        self.forward(line, key, reply);
                     }
-                    if self.triage_client_line(line, &sink) {
-                        break;
+                    Inbound::Control(ControlRequest::Stats, _) => {
+                        reply.send(serde_json::to_string(&self.merged_stats()));
+                    }
+                    Inbound::Control(ControlRequest::Metrics, _) => {
+                        reply.send(serde_json::to_string(&self.merged_metrics()));
+                    }
+                    Inbound::Control(ControlRequest::Shutdown, _) => {
+                        self.shutdown.request();
+                        reply.send(shutdown_ack());
+                    }
+                    // Snapshot / reload / calibrate apply fleet-wide: fan
+                    // the raw line out and nest each replica's own reply.
+                    Inbound::Control(_, line) => {
+                        reply.send(serde_json::to_string(&self.fanned_reply(&line)));
+                    }
+                    // The replica front end's own in-place replies, so
+                    // single-node and fleet clients see the same errors.
+                    Inbound::Oversized(response) => reply.send(response.to_line()),
+                    Inbound::Malformed(response) => {
+                        self.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
+                        reply.send(response.to_line());
                     }
                 }
-            }
-        }
-        drop(sink);
-        writer.join().expect("router client writer panicked");
-    }
-
-    /// Dispatches one client line; returns `true` when the connection
-    /// should stop (shutdown requested).
-    fn triage_client_line(self: &Arc<Self>, line: String, sink: &ClientSink) -> bool {
-        if !line.contains("\"cmd\"") {
-            let key = routing_key(&line);
-            self.forward(line, key, sink);
-            return false;
-        }
-        match InboundLine::parse(&line) {
-            Ok(InboundLine::Request(_)) => {
-                // `"cmd"` appeared inside an ordinary request's payload.
-                let key = routing_key(&line);
-                self.forward(line, key, sink);
                 false
-            }
-            Ok(InboundLine::Control(ControlRequest::Stats)) => {
-                sink.send(serde_json::to_string(&self.merged_stats()));
-                false
-            }
-            Ok(InboundLine::Control(ControlRequest::Metrics)) => {
-                sink.send(serde_json::to_string(&self.merged_metrics()));
-                false
-            }
-            Ok(InboundLine::Control(ControlRequest::Shutdown)) => {
-                self.shutdown.request();
-                sink.send(serde_json::to_string(&Value::object(vec![
-                    ("ok", Value::from(true)),
-                    ("shutting_down", Value::from(true)),
-                ])));
-                true
-            }
-            // Snapshot / reload / calibrate apply fleet-wide: fan the
-            // raw line out and nest each replica's own reply.
-            Ok(InboundLine::Control(_)) => {
-                sink.send(serde_json::to_string(&self.fanned_reply(&line)));
-                false
-            }
-            Err(message) => {
-                // Byte-identical to the replica front end's own inline
-                // reply, so single-node and fleet clients see the same
-                // error payloads.
-                self.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let response = ServeResponse {
-                    id: ServeRequest::recover_id(&line),
-                    result: Err(message),
-                    micros: 1,
-                    route: None,
-                    rid: None,
-                };
-                sink.send(response.to_line());
-                false
-            }
-        }
+            },
+        );
     }
 
     // ----- data path --------------------------------------------------
@@ -526,7 +423,7 @@ impl FleetRouter {
     /// Forwards one request line: consistent-hash on its key, round-
     /// robin without one, retrying across ejections until a replica
     /// accepts it or the ring is empty.
-    fn forward(self: &Arc<Self>, mut line: String, key: Option<u64>, reply: &ClientSink) {
+    fn forward(self: &Arc<Self>, mut line: String, key: Option<u64>, reply: &ReplySink) {
         if key.is_none() {
             self.counters.round_robin.fetch_add(1, Ordering::Relaxed);
         }
@@ -577,7 +474,7 @@ impl FleetRouter {
         index: usize,
         line: String,
         key: Option<u64>,
-        reply: &ClientSink,
+        reply: &ReplySink,
     ) -> Result<(), String> {
         let replica = &self.replicas[index];
         let mut state = replica.state.lock().expect("replica lock poisoned");
@@ -975,7 +872,8 @@ impl FleetRouter {
 
     /// The merged `{"cmd":"metrics"}` reply: every replica's Prometheus
     /// exposition fetched and merged series-by-series (cumulative
-    /// counters and histogram buckets sum; so do depth gauges).
+    /// counters, histogram buckets and depth gauges sum; start time
+    /// and uptime take the oldest replica's).
     pub fn merged_metrics(&self) -> Value {
         let per = self.fan_control(r#"{"cmd":"metrics"}"#);
         let mut texts = Vec::new();
@@ -1087,10 +985,12 @@ fn merge_shards(stats: &[&Value]) -> Value {
     )
 }
 
-/// Merges Prometheus text expositions series-by-series: every sample
-/// value with the same series key (name plus labels) is summed —
-/// correct for cumulative counters, histogram bucket counts, and
-/// additive gauges like queue depth. Comment lines and series order
+/// Merges Prometheus text expositions series-by-series. Samples with
+/// the same series key (name plus labels) are summed — correct for
+/// cumulative counters, histogram bucket counts, and additive gauges
+/// like queue depth — except the two process-age gauges, which do not
+/// add up: the fleet reports its earliest `qrc_start_time_seconds` and
+/// its longest `qrc_uptime_seconds`. Comment lines and series order
 /// follow the first exposition; series only later replicas expose are
 /// appended.
 fn merge_prometheus(texts: &[String]) -> String {
@@ -1116,10 +1016,19 @@ fn merge_prometheus(texts: &[String]) -> String {
             };
             let key = &line[..split];
             let value: f64 = line[split + 1..].parse().unwrap_or(0.0);
-            if !values.contains_key(key) {
-                order.push(Entry::Series(key.to_string()));
+            match values.get_mut(key) {
+                None => {
+                    order.push(Entry::Series(key.to_string()));
+                    values.insert(key.to_string(), value);
+                }
+                Some(merged) => {
+                    *merged = match key {
+                        "qrc_start_time_seconds" => merged.min(value),
+                        "qrc_uptime_seconds" => merged.max(value),
+                        _ => *merged + value,
+                    }
+                }
             }
-            *values.entry(key.to_string()).or_insert(0.0) += value;
         }
     }
     let mut out = String::new();
@@ -1180,14 +1089,29 @@ mod tests {
         assert!(merged.contains("y{q=\"0.5\"} 4\n"), "{merged}");
         assert!(merged.contains("z_only 1\n"), "{merged}");
         assert_eq!(merged.matches("# HELP x").count(), 1);
+
+        // Process-age gauges do not add up: the fleet started when its
+        // first replica did and has been up as long as its oldest one.
+        // Queue depth still sums.
+        let a = "qrc_uptime_seconds 12.5\nqrc_start_time_seconds 1792278889\nqrc_queue_depth 2\n"
+            .to_string();
+        let b = "qrc_uptime_seconds 40.25\nqrc_start_time_seconds 1792278861\nqrc_queue_depth 3\n"
+            .to_string();
+        let merged = merge_prometheus(&[a, b]);
+        assert!(merged.contains("qrc_uptime_seconds 40.25\n"), "{merged}");
+        assert!(
+            merged.contains("qrc_start_time_seconds 1792278861\n"),
+            "{merged}"
+        );
+        assert!(merged.contains("qrc_queue_depth 5\n"), "{merged}");
     }
 
     #[test]
     fn take_by_id_matches_overtaking_rejections() {
-        let (tx, _rx) = mpsc::sync_channel(4);
+        let (tx, _rx) = std::sync::mpsc::sync_channel(4);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let sink = ClientSink {
+        let sink = ReplySink {
             tx,
             stream: Arc::new(stream),
         };

@@ -820,34 +820,15 @@ impl CompilationService {
         );
     }
 
-    /// Processes one NDJSON request line into one NDJSON response line.
+    /// Processes one NDJSON request line into one NDJSON response line:
+    /// a batch of one through the same line path as
+    /// [`Self::handle_lines`] (size limit, parse and queue-wait stage
+    /// samples, trace sampling).
     pub fn handle_line(&self, line: &str) -> String {
-        let start = Instant::now();
-        match ServeRequest::parse(line) {
-            Ok(request) => {
-                let mut responses = self.run_batch(std::slice::from_ref(&request));
-                let mut response = responses.remove(0);
-                // For the single-request path, the full wall-clock is
-                // the honest latency (parse + schedule + compile) —
-                // recorded *and* reported, so `--stats` percentiles
-                // agree with what the client saw on the wire.
-                response.micros = (start.elapsed().as_micros() as u64).max(1);
-                response.rid = Some(self.next_rid());
-                self.record(&response);
-                response.to_line()
-            }
-            Err(message) => {
-                let response = ServeResponse {
-                    id: None,
-                    result: Err(message),
-                    micros: (start.elapsed().as_micros() as u64).max(1),
-                    route: None,
-                    rid: Some(self.next_rid()),
-                };
-                self.record(&response);
-                response.to_line()
-            }
-        }
+        self.handle_queued_inner(&[(line, 0)])
+            .pop()
+            .expect("one response per line")
+            .to_line()
     }
 
     /// Processes many NDJSON lines as one scheduled batch, preserving
@@ -949,11 +930,6 @@ impl CompilationService {
             self.record(response);
         }
         responses
-    }
-
-    /// The next request ID (1-based, admission order).
-    fn next_rid(&self) -> u64 {
-        self.rids.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Synthesizes the sampled span tree for one answered request from
@@ -1112,11 +1088,18 @@ impl CompilationService {
     pub fn cache_len(&self) -> usize {
         self.cache.len()
     }
+
+    /// The request-line size limit
+    /// ([`ServiceConfig::max_request_bytes`]); the front ends enforce
+    /// it while reading.
+    pub fn max_request_bytes(&self) -> usize {
+        self.max_request_bytes
+    }
 }
 
 /// The one wire message for an over-limit request line, shared by the
-/// blocking batch path and the front-end readers so both transports
-/// speak identical errors.
+/// service's line path and the front-end readers (which reject before
+/// buffering), so every way in speaks identical errors.
 pub(crate) fn oversized_error(bytes: usize, limit: usize) -> String {
     format!("request line is {bytes} bytes, exceeding the service limit of {limit}")
 }

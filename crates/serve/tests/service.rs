@@ -4,7 +4,7 @@
 use qrc_benchgen::BenchmarkFamily;
 use qrc_predictor::{train, PredictorConfig, RewardKind};
 use qrc_rl::PpoConfig;
-use qrc_serve::{CompilationService, ModelRegistry, ServeRequest, ServiceConfig, ShardKey};
+use qrc_serve::{CompilationService, ModelRegistry, ServeRequest, ServiceConfig, ShardKey, Stage};
 
 fn tiny_models() -> Vec<qrc_predictor::TrainedPredictor> {
     let suite = vec![
@@ -340,15 +340,19 @@ fn oversized_lines_rejected_before_parsing() {
         },
     );
     let long = format!(r#"{{"qasm":"{}"}}"#, "x".repeat(200));
-    let replies = service.handle_lines(&[long]);
+    let replies = service.handle_lines(std::slice::from_ref(&long));
     let parsed = serde_json::from_str(&replies[0]).unwrap();
     assert_eq!(parsed.get("ok").unwrap().as_bool(), Some(false));
-    assert!(parsed
-        .get("error")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .contains("exceeding the service limit"));
+    let error = parsed.get("error").unwrap().as_str().unwrap().to_string();
+    assert!(error.contains("exceeding the service limit"), "{error}");
+    assert_eq!(service.stage_histogram(Stage::Parse).count(), 1);
+
+    // The single-line entry point runs the same line path: the same
+    // rejection, and its own parse-stage sample.
+    let parsed = serde_json::from_str(&service.handle_line(&long)).unwrap();
+    assert_eq!(parsed.get("ok").unwrap().as_bool(), Some(false));
+    assert_eq!(parsed.get("error").unwrap().as_str(), Some(error.as_str()));
+    assert_eq!(service.stage_histogram(Stage::Parse).count(), 2);
 }
 
 #[test]
