@@ -13,22 +13,36 @@ use qrc_passes::{layout_passes, optimization_passes, routing_passes, Pass, PassC
 use std::time::Duration;
 
 fn routing_benchmarks(c: &mut Criterion) {
-    let dev = Device::get(DeviceId::IbmqMontreal);
-    let qc = BenchmarkFamily::Qft.generate(8);
-    // Pre-layout the circuit once.
-    let laid = layout_passes()[2]
-        .apply(&qc, &PassContext::for_device(&dev))
-        .unwrap()
-        .circuit;
+    // QFT-8 on montreal, plus QFT at 6 and 10 qubits on the 127-qubit
+    // washington: the widths where routing dominates a served miss.
+    let cases = [
+        (DeviceId::IbmqMontreal, 8),
+        (DeviceId::IbmqWashington, 6),
+        (DeviceId::IbmqWashington, 10),
+    ];
     let mut group = c.benchmark_group("routing");
     group.sample_size(20);
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
-    for router in routing_passes() {
-        group.bench_function(router.name(), |b| {
-            let ctx = PassContext::for_device(&dev).with_seed(7);
-            b.iter(|| router.apply(black_box(&laid), &ctx).unwrap());
-        });
+    for (dev_id, width) in cases {
+        let dev = Device::get(dev_id);
+        let qc = BenchmarkFamily::Qft.generate(width);
+        // Pre-layout the circuit once.
+        let laid = layout_passes()[2]
+            .apply(&qc, &PassContext::for_device(&dev))
+            .unwrap()
+            .circuit;
+        for router in routing_passes() {
+            let name = if dev_id == DeviceId::IbmqMontreal {
+                router.name().to_string()
+            } else {
+                format!("{}/{}/qft_{width}", router.name(), dev.name())
+            };
+            group.bench_function(name, |b| {
+                let ctx = PassContext::for_device(&dev).with_seed(7);
+                b.iter(|| router.apply(black_box(&laid), &ctx).unwrap());
+            });
+        }
     }
     group.finish();
 }

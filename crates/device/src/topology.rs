@@ -81,9 +81,10 @@ impl CouplingMap {
         self.edges.len()
     }
 
-    /// Returns `true` if `a` and `b` share an edge.
+    /// Returns `true` if `a` and `b` share an edge (`false` for qubits
+    /// outside the map).
     pub fn are_connected(&self, a: u32, b: u32) -> bool {
-        self.edges.contains(&(a.min(b), a.max(b)))
+        a < self.num_qubits && b < self.num_qubits && self.distance(a, b) == 1
     }
 
     /// Neighbors of qubit `q`, sorted ascending.
@@ -440,6 +441,23 @@ mod tests {
         assert!(!m.is_connected());
         assert_eq!(m.distance(0, 3), u32::MAX);
         assert!(m.shortest_path(0, 3).is_none());
+    }
+
+    #[test]
+    fn are_connected_matches_the_edge_set() {
+        for m in [
+            CouplingMap::ibm_falcon_27(),
+            CouplingMap::octagonal(1, 2),
+            CouplingMap::new(4, &[(0, 1), (2, 3)]),
+        ] {
+            let n = m.num_qubits();
+            for a in 0..n + 2 {
+                for b in 0..n + 2 {
+                    let edge = m.edges().any(|e| e == (a.min(b), a.max(b)));
+                    assert_eq!(m.are_connected(a, b), edge, "({a}, {b})");
+                }
+            }
+        }
     }
 
     #[test]

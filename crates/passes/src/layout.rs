@@ -192,18 +192,13 @@ impl Pass for SabreLayout {
         unitary.retain(|op| op.gate.is_unitary() && op.gate != qrc_circuit::Gate::Barrier);
         let reversed = reverse_for_sabre(&unitary);
 
-        for round in 0..self.iterations.max(1) {
-            for (dir, qc) in [(0u64, &unitary), (1u64, &reversed)] {
+        for _ in 0..self.iterations.max(1) {
+            for qc in [&unitary, &reversed] {
                 let placed = qc.remapped(
                     device.num_qubits(),
                     &layout.iter().map(|&p| Qubit(p)).collect::<Vec<_>>(),
                 )?;
-                let (_, perm) = sabre_route(
-                    &placed,
-                    device,
-                    SabreSwap::default(),
-                    ctx.seed ^ (round as u64) << 8 ^ dir,
-                )?;
+                let (_, perm) = sabre_route(&placed, device, SabreSwap::default())?;
                 // Logical l sat at layout[l]; after routing its content
                 // ends at perm[layout[l]] — the next initial layout.
                 layout = layout.iter().map(|&p| perm[p as usize]).collect();

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Tracks virtual-wire positions while swaps are inserted.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct WireTracker {
     virt2phys: Vec<u32>,
     phys2virt: Vec<u32>,
@@ -78,21 +78,16 @@ impl<'c> OpScheduler<'c> {
             ready: Vec::new(),
             remaining: circuit.len(),
         };
-        sched.recompute_ready();
-        sched
-    }
-
-    fn recompute_ready(&mut self) {
-        self.ready.clear();
-        let mut seen = std::collections::BTreeSet::new();
-        for queue in &self.wire_queues {
+        for queue in &sched.wire_queues {
             if let Some(&i) = queue.front() {
-                if self.is_head_everywhere(i) && seen.insert(i) {
-                    self.ready.push(i);
+                if sched.is_head_everywhere(i) {
+                    sched.ready.push(i);
                 }
             }
         }
-        self.ready.sort_unstable();
+        sched.ready.sort_unstable();
+        sched.ready.dedup();
+        sched
     }
 
     fn is_head_everywhere(&self, i: usize) -> bool {
@@ -102,15 +97,29 @@ impl<'c> OpScheduler<'c> {
             .all(|q| self.wire_queues[q.index()].front() == Some(&i))
     }
 
-    /// Marks op `i` executed and updates the ready set.
+    /// Marks op `i` executed and updates the ready set. Only the new
+    /// heads of op `i`'s own wires can have become ready: every other
+    /// queue head is unchanged.
     fn complete(&mut self, i: usize) {
-        for q in self.circuit.ops()[i].qubits.iter() {
+        let qubits = self.circuit.ops()[i].qubits;
+        for q in qubits.iter() {
             let queue = &mut self.wire_queues[q.index()];
             debug_assert_eq!(queue.front(), Some(&i));
             queue.pop_front();
         }
         self.remaining -= 1;
-        self.recompute_ready();
+        if let Ok(at) = self.ready.binary_search(&i) {
+            self.ready.remove(at);
+        }
+        for q in qubits.iter() {
+            if let Some(&j) = self.wire_queues[q.index()].front() {
+                if self.is_head_everywhere(j) {
+                    if let Err(at) = self.ready.binary_search(&j) {
+                        self.ready.insert(at, j);
+                    }
+                }
+            }
+        }
     }
 
     fn is_done(&self) -> bool {
@@ -166,8 +175,11 @@ fn emit_mapped(
     tracker: &WireTracker,
     out: &mut QuantumCircuit,
 ) -> Result<(), PassError> {
-    let qs: Vec<Qubit> = op.qubits.iter().map(|q| Qubit(tracker.pos(q.0))).collect();
-    out.push(Operation::new(op.gate, &qs))?;
+    let mut qs = [Qubit(0); 3];
+    for (slot, q) in qs.iter_mut().zip(op.qubits.iter()) {
+        *slot = Qubit(tracker.pos(q.0));
+    }
+    out.push(Operation::new(op.gate, &qs[..op.qubits.len()]))?;
     Ok(())
 }
 
@@ -200,21 +212,17 @@ where
 
     let mut stall_guard = 0usize;
     let stall_limit = 10_000 + 100 * prepared.len();
+    let mut executable = Vec::new();
     while !sched.is_done() {
         // Execute everything executable.
-        let executable: Vec<usize> = sched
-            .ready
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let op = &prepared.ops()[i];
-                !op.is_two_qubit()
-                    || coupling
-                        .are_connected(tracker.pos(op.qubits[0].0), tracker.pos(op.qubits[1].0))
-            })
-            .collect();
+        executable.clear();
+        executable.extend(sched.ready.iter().copied().filter(|&i| {
+            let op = &prepared.ops()[i];
+            !op.is_two_qubit()
+                || coupling.are_connected(tracker.pos(op.qubits[0].0), tracker.pos(op.qubits[1].0))
+        }));
         if !executable.is_empty() {
-            for i in executable {
+            for &i in &executable {
                 emit_mapped(&prepared.ops()[i], &tracker, &mut out)?;
                 sched.complete(i);
             }
@@ -236,7 +244,7 @@ where
             });
         }
     }
-    Ok((out, tracker.virt2phys.clone()))
+    Ok((out, tracker.virt2phys))
 }
 
 /// What a routing strategy did in one blocked step.
@@ -326,65 +334,27 @@ impl Pass for StochasticSwap {
         let device = ctx.require_device(self.name())?;
         let mut rng = StdRng::seed_from_u64(ctx.seed);
         let trials = self.trials.max(1);
+        let mut search = SwapSearch::new(device.coupling());
         let (routed, perm) = route_with(circuit, device, move |sched, tracker, out, coupling| {
-            let blocked = sched.blocked_2q(tracker, coupling);
-            if blocked.is_empty() {
+            search.start.clear();
+            for i in sched.blocked_2q(tracker, coupling) {
+                let op = &sched.circuit.ops()[i];
+                search.start.push(tracker.pos(op.qubits[0].0));
+                search.start.push(tracker.pos(op.qubits[1].0));
+            }
+            if search.start.is_empty() {
                 return Err(PassError::SynthesisFailed {
                     pass: "StochasticSwap",
                     reason: "blocked without blocked 2q op".into(),
                 });
             }
-            // Target pairs to make adjacent (virtual indices).
-            let pairs: Vec<(u32, u32)> = blocked
-                .iter()
-                .map(|&i| {
-                    let op = &sched.circuit.ops()[i];
-                    (op.qubits[0].0, op.qubits[1].0)
-                })
-                .collect();
-            let dist_sum = |t: &WireTracker| -> u64 {
-                pairs
-                    .iter()
-                    .map(|&(a, b)| coupling.distance(t.pos(a), t.pos(b)) as u64)
-                    .sum()
-            };
-            let edges: Vec<(u32, u32)> = coupling.edges().collect();
-            let mut best: Option<Vec<(u32, u32)>> = None;
-            for _ in 0..trials {
-                let mut t = tracker.clone();
-                let mut seq = Vec::new();
-                let cap = 4 * coupling.num_qubits() as usize + 16;
-                while dist_sum(&t) > pairs.len() as u64 && seq.len() < cap {
-                    // Prefer improving swaps; pick randomly among them.
-                    let current = dist_sum(&t);
-                    let improving: Vec<&(u32, u32)> = edges
-                        .iter()
-                        .filter(|&&(p1, p2)| {
-                            let mut probe = t.clone();
-                            probe.swap_phys(p1, p2);
-                            dist_sum(&probe) < current
-                        })
-                        .collect();
-                    let &(p1, p2) = if improving.is_empty() {
-                        // Random restart move to escape plateaus.
-                        &edges[rng.gen_range(0..edges.len())]
-                    } else {
-                        improving[rng.gen_range(0..improving.len())]
-                    };
-                    t.swap_phys(p1, p2);
-                    seq.push((p1, p2));
-                }
-                if dist_sum(&t) == pairs.len() as u64
-                    && best.as_ref().is_none_or(|b| seq.len() < b.len())
-                {
-                    best = Some(seq);
-                }
-            }
-            let seq = best.ok_or(PassError::SynthesisFailed {
-                pass: "StochasticSwap",
-                reason: "no trial reached an executable front".into(),
-            })?;
-            for (p1, p2) in seq {
+            let seq = search
+                .run(coupling, &mut rng, trials)
+                .ok_or(PassError::SynthesisFailed {
+                    pass: "StochasticSwap",
+                    reason: "no trial reached an executable front".into(),
+                })?;
+            for &(p1, p2) in seq {
                 emit_swap(p1, p2, tracker, out);
             }
             Ok(StrategyAction::Continue)
@@ -393,6 +363,187 @@ impl Pass for StochasticSwap {
             circuit: routed,
             effect: WireEffect::Permute(perm),
         })
+    }
+}
+
+/// Marks a physical qubit that holds no endpoint of a blocked pair.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The randomized swap search of [`StochasticSwap`] with its scratch
+/// state, reused across blocked fronts.
+///
+/// Each trial walks from the current placement: while the summed
+/// distance of the blocked pairs exceeds one per pair, it swaps a
+/// uniformly drawn improving edge, or, on a plateau, any edge of the
+/// device. Only the pair endpoints matter to that walk, so a trial
+/// tracks just where they are: a swap is scored by the change in the
+/// distances of the pairs it touches, only edges incident to an endpoint
+/// are scanned (an edge elsewhere changes nothing), and a plateau move
+/// between two qubits that hold no endpoint changes neither the state
+/// nor the (empty) improving set. Candidates are scanned in
+/// [`CouplingMap::edges`] order, so the improving set, every random draw
+/// and the chosen swaps equal those of a full rescan of every edge with
+/// the whole distance sum recomputed per candidate.
+#[derive(Debug)]
+struct SwapSearch {
+    /// Every coupling edge, in [`CouplingMap::edges`] order.
+    edges: Vec<(u32, u32)>,
+    /// The indices into `edges` of the edges at each physical qubit.
+    incident: Vec<Vec<u32>>,
+    /// Physical position of each pair endpoint at the blocked front:
+    /// slots `2k` and `2k + 1` are the two qubits of blocked pair `k`.
+    start: Vec<u32>,
+    /// The trial's position of each slot.
+    at: Vec<u32>,
+    /// The trial's slot at each physical qubit, or [`NO_SLOT`].
+    slot_at: Vec<u32>,
+    /// Bit set over `edges`: the candidates of the scan in progress.
+    candidates: Vec<u64>,
+    improving: Vec<(u32, u32)>,
+    seq: Vec<(u32, u32)>,
+    best: Vec<(u32, u32)>,
+}
+
+impl SwapSearch {
+    fn new(coupling: &CouplingMap) -> Self {
+        let n = coupling.num_qubits() as usize;
+        let edges: Vec<(u32, u32)> = coupling.edges().collect();
+        let mut incident = vec![Vec::new(); n];
+        for (e, &(a, b)) in edges.iter().enumerate() {
+            incident[a as usize].push(e as u32);
+            incident[b as usize].push(e as u32);
+        }
+        SwapSearch {
+            candidates: vec![0; edges.len().div_ceil(64)],
+            edges,
+            incident,
+            start: Vec::new(),
+            at: Vec::new(),
+            slot_at: vec![NO_SLOT; n],
+            improving: Vec::new(),
+            seq: Vec::new(),
+            best: Vec::new(),
+        }
+    }
+
+    /// Runs `trials` randomized trials from the blocked front in `start`
+    /// and returns the shortest swap sequence that makes every pair
+    /// adjacent (the first of equal length), or `None` if no trial got
+    /// there within its cap of swaps.
+    fn run(
+        &mut self,
+        coupling: &CouplingMap,
+        rng: &mut StdRng,
+        trials: usize,
+    ) -> Option<&[(u32, u32)]> {
+        let target = (self.start.len() / 2) as u64;
+        let start_sum: u64 = self
+            .start
+            .chunks_exact(2)
+            .map(|pair| coupling.distance(pair[0], pair[1]) as u64)
+            .sum();
+        let cap = 4 * coupling.num_qubits() as usize + 16;
+        let mut found = false;
+        for _ in 0..trials {
+            self.clear_slots();
+            self.at.extend_from_slice(&self.start);
+            for (slot, &p) in self.at.iter().enumerate() {
+                self.slot_at[p as usize] = slot as u32;
+            }
+            self.seq.clear();
+            let mut total = start_sum;
+            let mut rescan = true;
+            while total > target && self.seq.len() < cap {
+                if rescan {
+                    self.scan_improving(coupling);
+                }
+                let (p1, p2) = if self.improving.is_empty() {
+                    // Random restart move to escape plateaus.
+                    self.edges[rng.gen_range(0..self.edges.len())]
+                } else {
+                    self.improving[rng.gen_range(0..self.improving.len())]
+                };
+                // A swap between two qubits that hold no endpoint (only a
+                // plateau move can be one) changes nothing the walk sees.
+                rescan =
+                    self.slot_at[p1 as usize] != NO_SLOT || self.slot_at[p2 as usize] != NO_SLOT;
+                if rescan {
+                    total = total.wrapping_add_signed(self.delta(coupling, p1, p2));
+                    self.swap(p1, p2);
+                }
+                self.seq.push((p1, p2));
+            }
+            if total == target && (!found || self.seq.len() < self.best.len()) {
+                found = true;
+                std::mem::swap(&mut self.seq, &mut self.best);
+            }
+        }
+        self.clear_slots();
+        found.then_some(self.best.as_slice())
+    }
+
+    /// Empties the trial: no slot placed, every qubit at [`NO_SLOT`].
+    fn clear_slots(&mut self) {
+        for &p in &self.at {
+            self.slot_at[p as usize] = NO_SLOT;
+        }
+        self.at.clear();
+    }
+
+    /// Fills `improving` with the edges whose swap lowers the pair
+    /// distance sum, in edge order. Only edges incident to a pair
+    /// endpoint can change it; they are collected in a bit set over edge
+    /// indices, so reading it back yields them sorted and once each.
+    fn scan_improving(&mut self, coupling: &CouplingMap) {
+        for &p in &self.at {
+            for &e in &self.incident[p as usize] {
+                self.candidates[e as usize / 64] |= 1 << (e % 64);
+            }
+        }
+        self.improving.clear();
+        for word in 0..self.candidates.len() {
+            let mut bits = std::mem::take(&mut self.candidates[word]);
+            while bits != 0 {
+                let (p1, p2) = self.edges[word * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                if self.delta(coupling, p1, p2) < 0 {
+                    self.improving.push((p1, p2));
+                }
+            }
+        }
+    }
+
+    /// The change in the pair distance sum if the trial swapped the
+    /// contents of `p1` and `p2`.
+    fn delta(&self, coupling: &CouplingMap, p1: u32, p2: u32) -> i64 {
+        let s1 = self.slot_at[p1 as usize];
+        let s2 = self.slot_at[p2 as usize];
+        let dist = |a: u32, b: u32| i64::from(coupling.distance(a, b));
+        let mut d = 0;
+        // The pair of s1 (unless s2 is its partner) now reaches from p2.
+        if s1 != NO_SLOT && s2 != s1 ^ 1 {
+            let q = self.at[(s1 ^ 1) as usize];
+            d += dist(p2, q) - dist(p1, q);
+        }
+        if s2 != NO_SLOT && s1 != s2 ^ 1 {
+            let q = self.at[(s2 ^ 1) as usize];
+            d += dist(p1, q) - dist(p2, q);
+        }
+        d
+    }
+
+    /// Swaps the contents of `p1` and `p2` in the trial.
+    fn swap(&mut self, p1: u32, p2: u32) {
+        let s1 = self.slot_at[p1 as usize];
+        let s2 = self.slot_at[p2 as usize];
+        if s1 != NO_SLOT {
+            self.at[s1 as usize] = p2;
+        }
+        if s2 != NO_SLOT {
+            self.at[s2 as usize] = p1;
+        }
+        self.slot_at[p1 as usize] = s2;
+        self.slot_at[p2 as usize] = s1;
     }
 }
 
@@ -430,7 +581,7 @@ impl Pass for SabreSwap {
         ctx: &PassContext<'_>,
     ) -> Result<PassOutcome, PassError> {
         let device = ctx.require_device(self.name())?;
-        let (routed, perm) = sabre_route(circuit, device, *self, ctx.seed)?;
+        let (routed, perm) = sabre_route(circuit, device, *self)?;
         Ok(PassOutcome {
             circuit: routed,
             effect: WireEffect::Permute(perm),
@@ -438,16 +589,15 @@ impl Pass for SabreSwap {
     }
 }
 
-/// Core SABRE routing, reusable by `SabreLayout`.
+/// Core SABRE routing, reusable by `SabreLayout`. Deterministic: the
+/// best-scoring candidate wins, the first in edge order on ties.
 pub(crate) fn sabre_route(
     circuit: &QuantumCircuit,
     device: &Device,
     params: SabreSwap,
-    seed: u64,
 ) -> Result<(QuantumCircuit, Vec<u32>), PassError> {
     let mut decay: Vec<f64> = vec![1.0; device.num_qubits() as usize];
     let mut rounds_since_progress = 0usize;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5a5a_5a5a);
     route_with(circuit, device, move |sched, tracker, out, coupling| {
         let blocked = sched.blocked_2q(tracker, coupling);
         if blocked.is_empty() {
@@ -492,11 +642,12 @@ pub(crate) fn sabre_route(
             };
             decay[p1 as usize].max(decay[p2 as usize]) * (front + params.extended_set_weight * look)
         };
+        // Score each candidate in place: swap, score, swap back.
         let mut best: Option<((u32, u32), f64)> = None;
         for &(p1, p2) in &candidates {
-            let mut probe = tracker.clone();
-            probe.swap_phys(p1, p2);
-            let s = score(&probe, p1, p2);
+            tracker.swap_phys(p1, p2);
+            let s = score(tracker, p1, p2);
+            tracker.swap_phys(p1, p2);
             match best {
                 Some((_, bs)) if bs <= s => {}
                 _ => best = Some(((p1, p2), s)),
@@ -511,10 +662,9 @@ pub(crate) fn sabre_route(
         decay[p2 as usize] += 0.001;
         rounds_since_progress += 1;
         if rounds_since_progress > 16 {
-            // Reset decay; nudge with a random improving swap if available.
+            // Reset the decay so old penalties stop steering the search.
             decay.iter_mut().for_each(|d| *d = 1.0);
             rounds_since_progress = 0;
-            let _ = rng.gen::<u64>();
         }
         Ok(StrategyAction::Continue)
     })
@@ -601,25 +751,27 @@ impl Pass for TketRouting {
                     front_phys.insert(tracker.pos(q.0));
                 }
             }
+            // Score each candidate in place: swap, score, swap back.
             let mut best: Option<((u32, u32), f64)> = None;
             for (p1, p2) in coupling.edges() {
                 if !(front_phys.contains(&p1) || front_phys.contains(&p2)) {
                     continue;
                 }
-                let mut probe = tracker.clone();
-                probe.swap_phys(p1, p2);
+                tracker.swap_phys(p1, p2);
                 let mut s = 0.0;
                 for &i in &blocked {
                     let o = &sched.circuit.ops()[i];
-                    s += coupling.distance(probe.pos(o.qubits[0].0), probe.pos(o.qubits[1].0))
+                    s += coupling.distance(tracker.pos(o.qubits[0].0), tracker.pos(o.qubits[1].0))
                         as f64;
                 }
                 for (rank, &i) in extended.iter().enumerate() {
                     let o = &sched.circuit.ops()[i];
                     let w = 0.5 / (1.0 + rank as f64);
-                    s += w * coupling.distance(probe.pos(o.qubits[0].0), probe.pos(o.qubits[1].0))
+                    s += w * coupling
+                        .distance(tracker.pos(o.qubits[0].0), tracker.pos(o.qubits[1].0))
                         as f64;
                 }
+                tracker.swap_phys(p1, p2);
                 match best {
                     Some((_, bs)) if bs <= s => {}
                     _ => best = Some(((p1, p2), s)),

@@ -13,7 +13,9 @@
 use qrc_benchgen::BenchmarkFamily;
 use qrc_predictor::{train, PredictorConfig, RewardKind};
 use qrc_rl::PpoConfig;
-use qrc_serve::{CacheStatus, CompilationService, ModelRegistry, ServeRequest, ServiceConfig};
+use qrc_serve::{
+    CacheStatus, CompilationService, ModelRegistry, ServeRequest, ServiceConfig, Stage,
+};
 
 fn tiny_models() -> Vec<qrc_predictor::TrainedPredictor> {
     let suite = vec![
@@ -105,25 +107,66 @@ fn coalesced_duplicates_do_not_rereport_the_miss_compute_time() {
     }
 }
 
+/// The latency ledger's exact `(count, sum)` in microseconds, read from
+/// the service's Prometheus exposition.
+fn latency_ledger(service: &CompilationService) -> (u64, u64) {
+    let text = service.metrics_text();
+    let read = |series: &str| -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{series} missing from the exposition"))
+    };
+    (
+        read("qrc_request_duration_microseconds_count"),
+        read("qrc_request_duration_microseconds_sum"),
+    )
+}
+
 #[test]
-fn duplicate_replay_mean_does_not_scale_with_duplicate_count() {
-    // 100% duplicate traffic at two batch widths. With honest
-    // accounting the one rollout amortizes over the batch, so the mean
-    // *falls* as duplicates grow; the old double-counting held the
-    // mean at the full rollout cost regardless of N.
-    let small = quiet_service();
-    small.handle_batch(&duplicates(4));
-    let mean_small = small.metrics().mean_us;
+fn duplicate_batches_add_the_rollout_to_the_ledger_once() {
+    // 100% duplicate traffic at two batch widths, checked exactly per
+    // batch rather than by comparing wall-clock means across services:
+    // one miss owns the rollout, the N − 1 duplicates coalesce onto it,
+    // the compute stage holds one sample, and the ledger holds exactly
+    // the N replies. Every reply's own cost is its admission time
+    // (floored at 1 µs), so the ledger minus the one rollout lies within
+    // N µs of the admission stage's sum. The old double-counting, which
+    // copied the rollout into every duplicate's reply, adds it N − 1
+    // more times.
+    for n in [4usize, 32] {
+        let service = quiet_service();
+        let responses = service.handle_batch(&duplicates(n));
+        let statuses: Vec<CacheStatus> = responses
+            .iter()
+            .map(|r| r.result.as_ref().unwrap().1)
+            .collect();
+        assert_eq!(statuses[0], CacheStatus::Miss, "N = {n}");
+        assert!(
+            statuses[1..].iter().all(|s| *s == CacheStatus::Coalesced),
+            "N = {n}: {statuses:?}"
+        );
 
-    let large = quiet_service();
-    large.handle_batch(&duplicates(32));
-    let mean_large = large.metrics().mean_us;
+        let compute = service.stage_histogram(Stage::Compute);
+        assert_eq!(compute.count(), 1, "N = {n}: one rollout, one sample");
+        let admission = service.stage_histogram(Stage::Admission);
+        assert_eq!(admission.count(), n as u64, "N = {n}");
 
-    assert!(
-        mean_large < mean_small / 2.0,
-        "mean at 32 duplicates ({mean_large}µs) should amortize well below \
-         mean at 4 duplicates ({mean_small}µs)"
-    );
+        let replied: u64 = responses.iter().map(|r| r.micros).sum();
+        let (count, sum) = latency_ledger(&service);
+        assert_eq!(
+            (count, sum),
+            (n as u64, replied),
+            "N = {n}: ledger vs replies"
+        );
+        let own = sum - compute.sum();
+        assert!(
+            (admission.sum()..=admission.sum() + n as u64).contains(&own),
+            "N = {n}: ledger {sum} µs minus the rollout {} µs is {own} µs, \
+             but admission took {} µs",
+            compute.sum(),
+            admission.sum()
+        );
+    }
 }
 
 #[test]
