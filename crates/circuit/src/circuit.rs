@@ -430,7 +430,7 @@ impl QuantumCircuit {
             eat(name.as_bytes());
             let params = op.gate.params();
             eat(&[params.len() as u8]);
-            for p in params {
+            for &p in params.iter() {
                 eat(&crate::qasm::canonical_angle(p).to_bits().to_le_bytes());
             }
             eat(&[op.qubits.len() as u8]);

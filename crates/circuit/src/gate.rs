@@ -177,14 +177,23 @@ impl Gate {
         self.num_qubits() == 2
     }
 
-    /// The gate parameters (rotation angles), if any.
-    pub fn params(self) -> Vec<f64> {
+    /// The gate parameters (rotation angles), if any, as an inline list.
+    pub fn params(self) -> Params {
         use Gate::*;
         match self {
             Rx(t) | Ry(t) | Rz(t) | P(t) | Cp(t) | Crx(t) | Cry(t) | Crz(t) | Rxx(t) | Ryy(t)
-            | Rzz(t) => vec![t],
-            U(t, p, l) => vec![t, p, l],
-            _ => Vec::new(),
+            | Rzz(t) => Params {
+                values: [t, 0.0, 0.0],
+                len: 1,
+            },
+            U(t, p, l) => Params {
+                values: [t, p, l],
+                len: 3,
+            },
+            _ => Params {
+                values: [0.0; 3],
+                len: 0,
+            },
         }
     }
 
@@ -426,6 +435,21 @@ impl Gate {
             }
             Measure | Barrier => panic!("non-unitary directive {self:?} has no matrix"),
         }
+    }
+}
+
+/// The parameters of one gate — an inline list of up to three angles
+/// (the most any gate in the set takes), read as a slice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Params {
+    values: [f64; 3],
+    len: u8,
+}
+
+impl std::ops::Deref for Params {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        &self.values[..self.len as usize]
     }
 }
 

@@ -50,4 +50,4 @@ pub use circuit::{Operation, Qargs, QuantumCircuit, Qubit};
 pub use dag::{CircuitDag, OpIndex};
 pub use error::CircuitError;
 pub use features::{FeatureVector, NUM_FEATURES};
-pub use gate::{normalize_angle, normalize_angle_4pi, Gate, ANGLE_TOL};
+pub use gate::{normalize_angle, normalize_angle_4pi, Gate, Params, ANGLE_TOL};

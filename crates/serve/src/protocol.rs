@@ -3,15 +3,19 @@
 //!
 //! Every request and response is one JSON object on one line. The
 //! protocol is deliberately explicit-value based (no serde data model)
-//! so it works against the offline vendored `serde_json`.
+//! so it works against the offline vendored `serde_json`. Requests are
+//! decoded through a [`Value`] whose strings move into the request;
+//! lines are written field by field, measured first so that each line
+//! is allocated once at its exact size.
 
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use qrc_device::{DeviceId, DeviceRegistry};
 use qrc_predictor::RewardKind;
-use serde_json::Value;
+use serde_json::{Number, Value};
 
-use crate::shard::ShardRoute;
+use crate::shard::{ShardKey, ShardRoute};
 
 /// One compilation request.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,29 +50,35 @@ impl ServeRequest {
     /// `qasm` field, or unknown `objective`/`device` names.
     pub fn parse(line: &str) -> Result<ServeRequest, String> {
         let value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        Self::from_value(&value)
+        Self::from_value(value)
     }
 
     /// Parses an already-decoded JSON value as a request (shared by
     /// [`ServeRequest::parse`] and [`InboundLine::parse`], which must
-    /// not decode the line twice).
+    /// not decode the line twice). The `qasm` and `id` strings move out
+    /// of the value; nothing is copied.
     ///
     /// # Errors
     ///
     /// Same as [`ServeRequest::parse`], minus JSON syntax errors.
-    pub fn from_value(value: &Value) -> Result<ServeRequest, String> {
-        if value.as_object().is_none() {
+    pub fn from_value(value: Value) -> Result<ServeRequest, String> {
+        let Value::Object(mut pairs) = value else {
             return Err("request must be a JSON object".into());
-        }
-        let qasm = value
-            .get("qasm")
-            .and_then(|v| v.as_str())
-            .ok_or("missing required string field `qasm`")?
-            .to_string();
-        let id = match value.get("id") {
-            None => None,
-            Some(v) => Some(v.as_str().ok_or("field `id` must be a string")?.to_string()),
         };
+        // Like `Value::get`, each field is the first pair with its key.
+        fn field<'a>(pairs: &'a mut [(String, Value)], key: &str) -> Option<&'a mut Value> {
+            pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
+        }
+        let qasm = match field(&mut pairs, "qasm") {
+            Some(Value::String(qasm)) => std::mem::take(qasm),
+            _ => return Err("missing required string field `qasm`".into()),
+        };
+        let id = match field(&mut pairs, "id") {
+            None => None,
+            Some(Value::String(id)) => Some(std::mem::take(id)),
+            Some(_) => return Err("field `id` must be a string".into()),
+        };
+        let value = Value::Object(pairs);
         let objective = match value.get("objective") {
             None => RewardKind::ExpectedFidelity,
             Some(v) => {
@@ -124,17 +134,92 @@ impl ServeRequest {
     /// [`ServeRequest::parse`], used by clients (and the socket replay
     /// benchmark) to put already-built requests on the wire.
     pub fn to_line(&self) -> String {
-        let mut pairs: Vec<(&str, Value)> = Vec::new();
-        if let Some(id) = &self.id {
-            pairs.push(("id", Value::from(id.clone())));
-        }
-        pairs.push(("qasm", Value::from(self.qasm.clone())));
-        pairs.push(("objective", Value::from(self.objective.name())));
-        if let Some(pin) = self.device_pin {
-            pairs.push(("device", Value::from(pin.name())));
-        }
-        serde_json::to_string(&Value::object(pairs))
+        // Names are looked up once, not once per rendering pass.
+        let device = self.device_pin.map(DeviceId::name);
+        exact_line(|out| {
+            out.raw("{");
+            if let Some(id) = &self.id {
+                out.raw("\"id\":");
+                out.string(id);
+                out.raw(",");
+            }
+            out.raw("\"qasm\":");
+            out.string(&self.qasm);
+            out.raw(",\"objective\":");
+            out.string(self.objective.name());
+            if let Some(device) = device {
+                out.raw(",\"device\":");
+                out.string(device);
+            }
+            out.raw("}");
+        })
     }
+}
+
+/// Where a line is rendered: [`exact_line`] renders it twice, into a
+/// byte count and then into a string of exactly that capacity.
+trait Sink {
+    /// Appends JSON text as it is.
+    fn raw(&mut self, text: &str);
+    /// Appends `text` as a quoted, escaped JSON string.
+    fn string(&mut self, text: &str);
+    /// Appends the JSON text of a number.
+    fn number(&mut self, number: Number);
+    /// Appends a shard name (`objective/class/band`) as a JSON string;
+    /// its parts are fixed identifiers that need no escaping.
+    fn shard(&mut self, key: &ShardKey) {
+        self.raw("\"");
+        self.raw(key.objective.name());
+        self.raw("/");
+        self.raw(key.device_class.name());
+        self.raw("/");
+        self.raw(key.width_band.name());
+        self.raw("\"");
+    }
+}
+
+/// A byte count.
+struct Measure(usize);
+
+impl fmt::Write for Measure {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.0 += text.len();
+        Ok(())
+    }
+}
+
+impl Sink for Measure {
+    fn raw(&mut self, text: &str) {
+        self.0 += text.len();
+    }
+    fn string(&mut self, text: &str) {
+        self.0 += serde_json::escaped_len(text);
+    }
+    fn number(&mut self, number: Number) {
+        let _ = write!(self, "{number}");
+    }
+}
+
+impl Sink for String {
+    fn raw(&mut self, text: &str) {
+        self.push_str(text);
+    }
+    fn string(&mut self, text: &str) {
+        serde_json::write_escaped(self, text);
+    }
+    fn number(&mut self, number: Number) {
+        let _ = write!(self, "{number}");
+    }
+}
+
+/// Renders a line with `render` into a string of exactly its length.
+fn exact_line(render: impl Fn(&mut dyn Sink)) -> String {
+    let mut measure = Measure(0);
+    render(&mut measure);
+    let mut line = String::with_capacity(measure.0);
+    render(&mut line);
+    debug_assert_eq!(line.len(), measure.0, "both passes render the same bytes");
+    line
 }
 
 /// An in-band control request: a line carrying `cmd` instead of `qasm`.
@@ -220,7 +305,7 @@ impl InboundLine {
                     )),
                 }
             }
-            None => ServeRequest::from_value(&value).map(InboundLine::Request),
+            None => ServeRequest::from_value(value).map(InboundLine::Request),
         }
     }
 }
@@ -362,22 +447,283 @@ impl ServeResponse {
         }
     }
 
-    /// Renders the full NDJSON response line (no trailing newline).
+    /// Renders the full NDJSON response line (no trailing newline):
+    /// [`ServeResponse::body_value`] plus `micros` and `rid`, written
+    /// directly into a string of exactly its length.
     pub fn to_line(&self) -> String {
-        let mut value = self.body_value();
-        if let Value::Object(pairs) = &mut value {
-            pairs.push(("micros".into(), Value::from(self.micros)));
-            if let Some(rid) = self.rid {
-                pairs.push(("rid".into(), Value::from(rid)));
+        // Names are looked up once, not once per rendering pass.
+        let device = match &self.result {
+            Ok((result, _)) => result.device.map(DeviceId::name),
+            Err(_) => None,
+        };
+        exact_line(|out| {
+            out.raw("{\"id\":");
+            match &self.id {
+                Some(id) => out.string(id),
+                None => out.raw("null"),
             }
-        }
-        serde_json::to_string(&value)
+            if let Some(route) = &self.route {
+                out.raw(",\"shard\":");
+                out.shard(&route.shard);
+            }
+            match &self.result {
+                Ok((result, status)) => {
+                    out.raw(",\"ok\":true,\"qasm\":");
+                    out.string(&result.qasm);
+                    out.raw(",\"device\":");
+                    match device {
+                        Some(device) => out.string(device),
+                        None => out.raw("null"),
+                    }
+                    out.raw(",\"actions\":[");
+                    for (i, action) in result.actions.iter().enumerate() {
+                        if i > 0 {
+                            out.raw(",");
+                        }
+                        out.string(action);
+                    }
+                    out.raw("],\"reward\":");
+                    out.number(Number::F(result.reward));
+                    out.raw(",\"cache\":");
+                    out.string(status.name());
+                }
+                Err(message) => {
+                    out.raw(",\"ok\":false,\"error\":");
+                    out.string(message);
+                }
+            }
+            out.raw(",\"micros\":");
+            out.number(Number::U(self.micros));
+            if let Some(rid) = self.rid {
+                out.raw(",\"rid\":");
+                out.number(Number::U(rid));
+            }
+            out.raw("}");
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{DeviceClass, RouteLevel, WidthBand};
+    use proptest::prelude::*;
+    use qrc_device::Platform;
+
+    /// The renderings and the request decoding that the direct writers
+    /// and the moving parser replaced.
+    mod oracle {
+        use super::*;
+
+        pub fn response_line(response: &ServeResponse) -> String {
+            let mut value = response.body_value();
+            if let Value::Object(pairs) = &mut value {
+                pairs.push(("micros".into(), Value::from(response.micros)));
+                if let Some(rid) = response.rid {
+                    pairs.push(("rid".into(), Value::from(rid)));
+                }
+            }
+            serde_json::to_string(&value)
+        }
+
+        pub fn request_line(request: &ServeRequest) -> String {
+            let mut pairs: Vec<(&str, Value)> = Vec::new();
+            if let Some(id) = &request.id {
+                pairs.push(("id", Value::from(id.clone())));
+            }
+            pairs.push(("qasm", Value::from(request.qasm.clone())));
+            pairs.push(("objective", Value::from(request.objective.name())));
+            if let Some(pin) = request.device_pin {
+                pairs.push(("device", Value::from(pin.name())));
+            }
+            serde_json::to_string(&Value::object(pairs))
+        }
+
+        pub fn parse(line: &str) -> Result<ServeRequest, String> {
+            let value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+            if value.as_object().is_none() {
+                return Err("request must be a JSON object".into());
+            }
+            let qasm = value
+                .get("qasm")
+                .and_then(|v| v.as_str())
+                .ok_or("missing required string field `qasm`")?
+                .to_string();
+            let id = match value.get("id") {
+                None => None,
+                Some(v) => Some(v.as_str().ok_or("field `id` must be a string")?.to_string()),
+            };
+            // The rest of the decoding did not change.
+            let mut rest = ServeRequest::from_value(value)?;
+            rest.id = id;
+            rest.qasm = qasm;
+            Ok(rest)
+        }
+    }
+
+    /// Text with everything JSON escapes: quotes, backslashes, control
+    /// characters, plus non-ASCII characters.
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                4 => (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+                1 => (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+                1 => prop_oneof![Just('"'), Just('\\'), Just('é'), Just('😀'), Just('\u{2028}')],
+            ],
+            0..32,
+        )
+        .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    fn maybe<T: std::fmt::Debug>(
+        strategy: impl Strategy<Value = T> + 'static,
+    ) -> impl Strategy<Value = Option<T>> {
+        (any::<bool>(), strategy).prop_map(|(some, value)| some.then_some(value))
+    }
+
+    fn shard_route() -> impl Strategy<Value = ShardRoute> {
+        (
+            0usize..3,
+            0usize..=Platform::ALL.len(),
+            0usize..4,
+            0usize..4,
+        )
+            .prop_map(|(objective, class, band, level)| ShardRoute {
+                shard: ShardKey {
+                    objective: RewardKind::ALL[objective],
+                    device_class: Platform::ALL
+                        .get(class)
+                        .map_or(DeviceClass::Any, |&p| DeviceClass::Class(p)),
+                    width_band: [
+                        WidthBand::Any,
+                        WidthBand::Narrow,
+                        WidthBand::Medium,
+                        WidthBand::Wide,
+                    ][band],
+                },
+                level: [
+                    RouteLevel::Exact,
+                    RouteLevel::BandWildcard,
+                    RouteLevel::DeviceWildcard,
+                    RouteLevel::ObjectiveOnly,
+                ][level],
+            })
+    }
+
+    /// Rewards of every kind, non-finite ones included.
+    fn reward() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0..1.0f64,
+            any::<u64>().prop_map(f64::from_bits),
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(1.0),
+                Just(f64::NAN),
+                Just(f64::INFINITY)
+            ],
+        ]
+    }
+
+    fn response() -> impl Strategy<Value = ServeResponse> {
+        let compiled = (
+            text(),
+            maybe(0usize..DeviceId::ALL.len()),
+            proptest::collection::vec(text(), 0..4),
+            reward(),
+            0usize..3,
+        )
+            .prop_map(|(qasm, device, actions, reward, status)| {
+                let status = [CacheStatus::Hit, CacheStatus::Miss, CacheStatus::Coalesced][status];
+                let result = CompiledResult {
+                    qasm,
+                    device: device.map(|i| DeviceId::ALL[i]),
+                    actions,
+                    reward,
+                };
+                (Arc::new(result), status)
+            });
+        (
+            (maybe(text()), any::<bool>(), compiled, text()),
+            (any::<u64>(), maybe(shard_route()), maybe(any::<u64>())),
+        )
+            .prop_map(
+                |((id, ok, compiled, error), (micros, route, rid))| ServeResponse {
+                    id,
+                    result: if ok { Ok(compiled) } else { Err(error) },
+                    micros,
+                    route,
+                    rid,
+                },
+            )
+    }
+
+    fn request() -> impl Strategy<Value = ServeRequest> {
+        (
+            maybe(text()),
+            text(),
+            0usize..3,
+            maybe(0usize..DeviceId::ALL.len()),
+        )
+            .prop_map(|(id, qasm, objective, pin)| ServeRequest {
+                id,
+                qasm,
+                objective: RewardKind::ALL[objective],
+                device_pin: pin.map(|i| DeviceId::ALL[i]),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn response_lines_match_oracle(response in response()) {
+            let line = response.to_line();
+            prop_assert_eq!(&line, &oracle::response_line(&response));
+            prop_assert_eq!(line.capacity(), line.len());
+        }
+
+        #[test]
+        fn request_lines_match_oracle(request in request()) {
+            let line = request.to_line();
+            prop_assert_eq!(&line, &oracle::request_line(&request));
+            prop_assert_eq!(line.capacity(), line.len());
+            prop_assert_eq!(ServeRequest::parse(&line), Ok(request));
+        }
+
+        /// Requests with missing, mistyped, duplicated and extra
+        /// fields decode as they did.
+        #[test]
+        fn parse_matches_oracle(
+            fields in proptest::collection::vec((0usize..6, 0usize..4, text()), 0..6),
+            truncate in maybe(any::<usize>()),
+        ) {
+            let keys = ["id", "qasm", "objective", "device", "cmd", "x"];
+            let pairs = fields
+                .into_iter()
+                .map(|(key, kind, text)| {
+                    let value = match kind {
+                        0 => Value::from(text),
+                        1 => Value::from(keys[key]),
+                        2 => Value::from(7u64),
+                        _ => ["fidelity", "critical_depth", "oqc_lucy", "ionq_harmony"]
+                            .get(key % 4)
+                            .map_or(Value::Null, |&name| Value::from(name)),
+                    };
+                    (keys[key], value)
+                })
+                .collect();
+            let mut line = serde_json::to_string(&Value::object(pairs));
+            if let Some(at) = truncate {
+                let mut at = at % (line.len() + 1);
+                while !line.is_char_boundary(at) {
+                    at -= 1;
+                }
+                line.truncate(at);
+            }
+            prop_assert_eq!(ServeRequest::parse(&line), oracle::parse(&line));
+        }
+    }
 
     #[test]
     fn parses_minimal_and_full_requests() {

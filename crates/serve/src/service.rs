@@ -860,23 +860,28 @@ impl CompilationService {
     /// pairs in, recorded responses out, no line copies.
     fn handle_queued_inner(&self, items: &[(&str, u64)]) -> Vec<ServeResponse> {
         // Parse what we can, timing each line's parse: for hits and
-        // errors, parsing *is* most of their real cost.
-        let mut slots: Vec<Result<usize, String>> = Vec::with_capacity(items.len());
+        // errors, parsing *is* most of their real cost. A rejected
+        // line carries whether its `id` may be recovered: not from an
+        // oversized one, which is never parsed, so that its size limit
+        // bounds the memory it can cost (the front ends answer such a
+        // line with `id: null` too).
+        let mut slots: Vec<Result<(), (String, bool)>> = Vec::with_capacity(items.len());
         let mut parse_us: Vec<u64> = Vec::with_capacity(items.len());
         let mut requests: Vec<ServeRequest> = Vec::new();
         let mut queue_waits: Vec<u64> = Vec::new();
         for (line, queue_us) in items {
             let parse_start = Instant::now();
             if line.len() > self.max_request_bytes {
-                slots.push(Err(oversized_error(line.len(), self.max_request_bytes)));
+                let message = oversized_error(line.len(), self.max_request_bytes);
+                slots.push(Err((message, false)));
             } else {
                 match ServeRequest::parse(line) {
                     Ok(request) => {
-                        slots.push(Ok(requests.len()));
+                        slots.push(Ok(()));
                         requests.push(request);
                         queue_waits.push(*queue_us);
                     }
-                    Err(message) => slots.push(Err(message)),
+                    Err(message) => slots.push(Err((message, true))),
                 }
             }
             parse_us.push(parse_start.elapsed().as_micros() as u64);
@@ -895,15 +900,15 @@ impl CompilationService {
             .enumerate()
             .map(|(index, ((slot, (line, queue_us)), parse_us))| {
                 let (mut response, stage_parts) = match slot {
-                    Ok(_) => {
+                    Ok(()) => {
                         let (mut response, parts) =
                             scheduled.next().expect("one response per request");
                         response.micros += parse_us;
                         (response, Some(parts))
                     }
-                    Err(message) => (
+                    Err((message, recover)) => (
                         ServeResponse {
-                            id: ServeRequest::recover_id(line),
+                            id: recover.then(|| ServeRequest::recover_id(line)).flatten(),
                             result: Err(message),
                             micros: queue_us + parse_us,
                             route: None,

@@ -353,6 +353,20 @@ fn oversized_lines_rejected_before_parsing() {
     assert_eq!(parsed.get("ok").unwrap().as_bool(), Some(false));
     assert_eq!(parsed.get("error").unwrap().as_str(), Some(error.as_str()));
     assert_eq!(service.stage_histogram(Stage::Parse).count(), 2);
+
+    // An oversized line is never parsed, not even to recover its `id`:
+    // it is answered with `id: null`, as the front ends answer it.
+    let with_id = format!(r#"{{"id":"big","qasm":"{}"}}"#, "x".repeat(200));
+    for reply in [
+        service.handle_line(&with_id),
+        service
+            .handle_lines(std::slice::from_ref(&with_id))
+            .remove(0),
+    ] {
+        let parsed = serde_json::from_str(&reply).unwrap();
+        assert_eq!(parsed.get("ok").unwrap().as_bool(), Some(false));
+        assert!(parsed.get("id").unwrap().is_null(), "{reply}");
+    }
 }
 
 #[test]
