@@ -284,7 +284,7 @@ fn run_serve(
         println!(
             "  shard {:<28} routed {:>5} | hit {:>5} | miss {:>5} | coalesced {:>5}",
             stat.shard,
-            stat.counters.routed,
+            stat.counters.routed(),
             stat.counters.hits,
             stat.counters.misses,
             stat.counters.coalesced

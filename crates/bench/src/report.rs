@@ -12,6 +12,7 @@ use std::time::Instant;
 use qrc_circuit::QuantumCircuit;
 use qrc_device::Device;
 use qrc_predictor::TrainedPredictor;
+use qrc_serve::ShardCounterSnapshot;
 use serde_json::Value;
 
 use crate::serve_bench::ServeBenchReport;
@@ -519,18 +520,7 @@ fn sharded_value(report: &ServeBenchReport) -> Value {
                 report
                     .shard_stats
                     .iter()
-                    .map(|s| {
-                        // Same key names as the `{"cmd":"stats"}`
-                        // per-shard block, so one parser covers both.
-                        Value::object(vec![
-                            ("shard", Value::from(s.shard.clone())),
-                            ("routed", Value::from(s.counters.routed)),
-                            ("hit", Value::from(s.counters.hits)),
-                            ("miss", Value::from(s.counters.misses)),
-                            ("coalesced", Value::from(s.counters.coalesced)),
-                            ("errors", Value::from(s.counters.errors)),
-                        ])
-                    })
+                    .map(ShardCounterSnapshot::to_value)
                     .collect(),
             ),
         ),
@@ -617,10 +607,9 @@ mod tests {
             sharded_secs: 0.4,
             monolithic_secs: 0.5,
             sharded_identical: true,
-            shard_stats: vec![crate::serve_bench::ShardStat {
+            shard_stats: vec![ShardCounterSnapshot {
                 shard: "fidelity/any/narrow".into(),
                 counters: qrc_serve::ShardCounters {
-                    routed: 180,
                     hits: 70,
                     misses: 60,
                     coalesced: 50,
@@ -714,7 +703,15 @@ mod tests {
             verbose: false,
             ..EvalSettings::default()
         };
-        let serve_text = serde_json::to_string_pretty(&bench_serve_value(&report, &settings));
+        let serve = bench_serve_value(&report, &settings);
+        // The per-shard block keeps its keys, in order, with `routed`
+        // derived from the outcomes.
+        let shards = serve.get("sharded").and_then(|s| s.get("shards"));
+        assert_eq!(
+            serde_json::to_string(&shards.and_then(|s| s.as_array()).unwrap()[0]),
+            r#"{"shard":"fidelity/any/narrow","routed":180,"hit":70,"miss":60,"coalesced":50,"errors":0}"#
+        );
+        let serve_text = serde_json::to_string_pretty(&serve);
         for key in [
             "schema_version",
             "requests_per_sec_batched",

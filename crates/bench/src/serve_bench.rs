@@ -69,8 +69,9 @@ use qrc_predictor::task_seed;
 use qrc_serve::{
     bind_ephemeral, head_of_distribution_counts, run_retrain, serve_socket, synthetic_mix,
     CacheStatus, CompilationService, DeviceClass, FleetRouter, FrontendConfig, ModelRegistry,
-    QueuedLine, RetrainConfig, RouteCounts, RouterConfig, ServeRequest, ServeResponse,
-    ServiceConfig, ShardCounters, ShardKey, ShutdownFlag, Stage, TrafficConfig, WidthBand,
+    QueuedLine, ReplicaStats, RetrainConfig, RouteCounts, RouterConfig, ServeRequest,
+    ServeResponse, ServiceConfig, ShardCounterSnapshot, ShardKey, ShutdownFlag, Stage,
+    TrafficConfig, WidthBand,
 };
 use serde_json::Value;
 
@@ -98,15 +99,6 @@ impl Default for ServeBenchSettings {
             listen: None,
         }
     }
-}
-
-/// Per-shard routing outcome of the sharded replay arm.
-#[derive(Debug, Clone)]
-pub struct ShardStat {
-    /// Canonical shard name.
-    pub shard: String,
-    /// The routing/cache counters the shard accumulated.
-    pub counters: ShardCounters,
 }
 
 /// Per-replica outcome of the fleet arm: the router's view (routing
@@ -197,7 +189,7 @@ pub struct ServeBenchReport {
     /// same sharded registry.
     pub sharded_identical: bool,
     /// Per-shard routing stats of the sharded batched replay.
-    pub shard_stats: Vec<ShardStat>,
+    pub shard_stats: Vec<ShardCounterSnapshot>,
     /// Requests per routing fallback level in the sharded replay.
     pub route_counts: RouteCounts,
     /// Requests replayed per restart-warmup pass (the skewed mix).
@@ -631,14 +623,6 @@ pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> S
             .zip(sharded_batched.iter())
             .all(|(a, b)| a.payload_value() == b.payload_value());
     let sharded_metrics = sharded_service.metrics();
-    let shard_stats = sharded_metrics
-        .shards
-        .iter()
-        .map(|s| ShardStat {
-            shard: s.shard.clone(),
-            counters: s.counters,
-        })
-        .collect();
 
     // --- The restart-warmup arm ------------------------------------------
     // Three disk-backed services over the same skewed mix: a
@@ -1189,7 +1173,7 @@ pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> S
         sharded_secs,
         monolithic_secs,
         sharded_identical,
-        shard_stats,
+        shard_stats: sharded_metrics.shards,
         route_counts: sharded_metrics.routes,
         restart_requests: traffic.len(),
         snapshot_entries: snapshot.entries,
@@ -1532,18 +1516,21 @@ fn replay_fleet(
         errors += metrics.errors;
         hits += metrics.cache.hits;
         misses += metrics.cache.misses;
-        let (addr, routed, completed, re_forwarded, ejections, _healthy) = counters
+        let replica = counters
             .iter()
-            .find(|entry| entry.0 == addrs[index])
+            .find(|replica| replica.addr == addrs[index])
             .cloned()
-            .unwrap_or_else(|| (addrs[index].clone(), 0, 0, 0, 0, false));
-        rerouted += re_forwarded;
+            .unwrap_or_else(|| ReplicaStats {
+                addr: addrs[index].clone(),
+                ..ReplicaStats::default()
+            });
+        rerouted += replica.rerouted;
         stats.push(FleetReplicaStat {
-            addr,
-            routed,
-            completed,
-            rerouted: re_forwarded,
-            ejections,
+            addr: replica.addr,
+            routed: replica.routed,
+            completed: replica.completed,
+            rerouted: replica.rerouted,
+            ejections: replica.ejections,
             hits: metrics.cache.hits,
             misses: metrics.cache.misses,
         });

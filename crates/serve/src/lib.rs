@@ -110,8 +110,8 @@ pub use listener::{
     bind_ephemeral, install_sigterm_bridge, serve_socket, serve_stdin, FrontendConfig, ShutdownFlag,
 };
 pub use metrics::{
-    percentile_us, MetricsSnapshot, RouteCounts, ServeMetrics, ShardCounterSnapshot, ShardCounters,
-    Stage,
+    Kind, Merge, Metric, MetricsSnapshot, ReplicaStats, RouteCounts, RouterStats, Scope,
+    ServeMetrics, ShardCounterSnapshot, ShardCounters, Stage, METRICS,
 };
 pub use persist::{
     head_of_distribution, head_of_distribution_counts, load_snapshot_file, snapshot_path,

@@ -630,17 +630,9 @@ impl Inbound {
             Ok(InboundLine::Control(request)) => Inbound::Control(request, line),
             // `"cmd"` appeared inside an ordinary request's payload.
             Ok(InboundLine::Request(_)) => Inbound::Request(line),
-            Err(message) => Inbound::Malformed(ServeResponse {
-                // Socket replies can overtake queued responses, so
-                // clients correlate by id — echo it when present.
-                id: ServeRequest::recover_id(&line),
-                result: Err(message),
-                // Same clock-resolution floor as the service's line
-                // paths: never push 0 into the latency window.
-                micros: 1,
-                route: None,
-                rid: None,
-            }),
+            // Socket replies can overtake queued responses, so clients
+            // correlate by id — echo it when present.
+            Err((id, message)) => Inbound::Malformed(ServeResponse::rejected(id, message)),
         }
     }
 }
@@ -810,14 +802,7 @@ pub(crate) fn read_bounded_line<R: BufRead>(
 /// The structured error answering an over-limit request line (same
 /// message as the service's own size check).
 fn oversized_response(bytes: usize, limit: usize) -> ServeResponse {
-    ServeResponse {
-        id: None,
-        result: Err(crate::service::oversized_error(bytes, limit)),
-        // Same clock-resolution floor as the service's line paths.
-        micros: 1,
-        route: None,
-        rid: None,
-    }
+    ServeResponse::rejected(None, crate::service::oversized_error(bytes, limit))
 }
 
 /// One structured per-request log line (stderr), emitted when

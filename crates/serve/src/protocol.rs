@@ -49,65 +49,86 @@ impl ServeRequest {
     /// Returns a human-readable message for malformed JSON, a missing
     /// `qasm` field, or unknown `objective`/`device` names.
     pub fn parse(line: &str) -> Result<ServeRequest, String> {
-        let value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+        Self::decode(line).map_err(|(_, message)| message)
+    }
+
+    /// Parses one NDJSON request line; a rejected line's error comes
+    /// with the `id` [`ServeRequest::recover_id`] would read from it,
+    /// so the line is decoded once.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ServeRequest::parse`], each message paired with the
+    /// line's string `id`, if any.
+    pub fn decode(line: &str) -> Result<ServeRequest, (Option<String>, String)> {
+        let value = serde_json::from_str(line).map_err(|e| (None, e.to_string()))?;
         Self::from_value(value)
     }
 
     /// Parses an already-decoded JSON value as a request (shared by
-    /// [`ServeRequest::parse`] and [`InboundLine::parse`], which must
+    /// [`ServeRequest::decode`] and [`InboundLine::parse`], which must
     /// not decode the line twice). The `qasm` and `id` strings move out
     /// of the value; nothing is copied.
     ///
     /// # Errors
     ///
-    /// Same as [`ServeRequest::parse`], minus JSON syntax errors.
-    pub fn from_value(value: Value) -> Result<ServeRequest, String> {
+    /// Same as [`ServeRequest::decode`], minus JSON syntax errors.
+    pub fn from_value(value: Value) -> Result<ServeRequest, (Option<String>, String)> {
         let Value::Object(mut pairs) = value else {
-            return Err("request must be a JSON object".into());
+            return Err((None, "request must be a JSON object".into()));
         };
         // Like `Value::get`, each field is the first pair with its key.
         fn field<'a>(pairs: &'a mut [(String, Value)], key: &str) -> Option<&'a mut Value> {
             pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
         }
+        let id = match field(&mut pairs, "id") {
+            None => Ok(None),
+            Some(Value::String(id)) => Ok(Some(std::mem::take(id))),
+            Some(_) => Err("field `id` must be a string"),
+        };
         let qasm = match field(&mut pairs, "qasm") {
             Some(Value::String(qasm)) => std::mem::take(qasm),
-            _ => return Err("missing required string field `qasm`".into()),
+            _ => {
+                let id = id.unwrap_or_default();
+                return Err((id, "missing required string field `qasm`".into()));
+            }
         };
-        let id = match field(&mut pairs, "id") {
-            None => None,
-            Some(Value::String(id)) => Some(std::mem::take(id)),
-            Some(_) => return Err("field `id` must be a string".into()),
-        };
+        let id = id.map_err(|message| (None, message.to_string()))?;
+        let reject = |message: String| (id.clone(), message);
         let value = Value::Object(pairs);
         let objective = match value.get("objective") {
             None => RewardKind::ExpectedFidelity,
             Some(v) => {
-                let name = v.as_str().ok_or("field `objective` must be a string")?;
+                let name = v
+                    .as_str()
+                    .ok_or_else(|| reject("field `objective` must be a string".into()))?;
                 RewardKind::from_name(name).ok_or_else(|| {
-                    format!(
+                    reject(format!(
                         "unknown objective `{name}` (expected one of: {})",
                         RewardKind::ALL.map(|k| k.name()).join(", ")
-                    )
+                    ))
                 })?
             }
         };
         let device_pin = match value.get("device") {
             None => None,
             Some(v) => {
-                let name = v.as_str().ok_or("field `device` must be a string")?;
+                let name = v
+                    .as_str()
+                    .ok_or_else(|| reject("field `device` must be a string".into()))?;
                 Some(DeviceId::from_name(name).ok_or_else(|| {
                     // Lists every *registered* device — built-ins plus
                     // whatever `--device-dir` / runtime registration
                     // added — so the message reflects what this
                     // replica can actually serve.
-                    format!(
+                    reject(format!(
                         "unknown device `{name}` (expected one of: {})",
                         DeviceRegistry::all()
                             .iter()
                             .map(|d| d.name())
                             .collect::<Vec<_>>()
                             .join(", ")
-                    )
+                    ))
                 })?)
             }
         };
@@ -272,41 +293,41 @@ impl InboundLine {
     /// # Errors
     ///
     /// Returns a human-readable message for malformed JSON, an unknown
-    /// `cmd`, or an invalid compilation request.
-    pub fn parse(line: &str) -> Result<InboundLine, String> {
-        let value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        match value.get("cmd") {
-            Some(cmd) => {
-                let name = cmd.as_str().ok_or("field `cmd` must be a string")?;
-                match name {
-                    "stats" => Ok(InboundLine::Control(ControlRequest::Stats)),
-                    "reload" => Ok(InboundLine::Control(ControlRequest::Reload)),
-                    "snapshot" => Ok(InboundLine::Control(ControlRequest::Snapshot)),
-                    "shutdown" => Ok(InboundLine::Control(ControlRequest::Shutdown)),
-                    "metrics" => Ok(InboundLine::Control(ControlRequest::Metrics)),
-                    "calibrate" => {
-                        let device = value
-                            .get("device")
-                            .and_then(Value::as_str)
-                            .ok_or("calibrate needs a string `device` field")?
-                            .to_string();
-                        let calibration = value
-                            .get("calibration")
-                            .ok_or("calibrate needs a `calibration` field")?
-                            .clone();
-                        Ok(InboundLine::Control(ControlRequest::Calibrate {
-                            device,
-                            calibration,
-                        }))
-                    }
-                    other => Err(format!(
-                        "unknown cmd `{other}` (expected one of: stats, reload, snapshot, \
-                         shutdown, metrics, calibrate)"
-                    )),
-                }
+    /// `cmd`, or an invalid compilation request, paired with the line's
+    /// string `id`, if any (what [`ServeRequest::recover_id`] reads).
+    pub fn parse(line: &str) -> Result<InboundLine, (Option<String>, String)> {
+        let value = serde_json::from_str(line).map_err(|e| (None, e.to_string()))?;
+        let Some(cmd) = value.get("cmd") else {
+            return ServeRequest::from_value(value).map(InboundLine::Request);
+        };
+        let id = || value.get("id").and_then(Value::as_str).map(str::to_string);
+        let reject = |message: &str| (id(), message.to_string());
+        let control = match cmd.as_str() {
+            None => return Err(reject("field `cmd` must be a string")),
+            Some("stats") => ControlRequest::Stats,
+            Some("reload") => ControlRequest::Reload,
+            Some("snapshot") => ControlRequest::Snapshot,
+            Some("shutdown") => ControlRequest::Shutdown,
+            Some("metrics") => ControlRequest::Metrics,
+            Some("calibrate") => ControlRequest::Calibrate {
+                device: value
+                    .get("device")
+                    .and_then(Value::as_str)
+                    .ok_or_else(|| reject("calibrate needs a string `device` field"))?
+                    .to_string(),
+                calibration: value
+                    .get("calibration")
+                    .ok_or_else(|| reject("calibrate needs a `calibration` field"))?
+                    .clone(),
+            },
+            Some(other) => {
+                return Err(reject(&format!(
+                    "unknown cmd `{other}` (expected one of: stats, reload, snapshot, \
+                     shutdown, metrics, calibrate)"
+                )))
             }
-            None => ServeRequest::from_value(value).map(InboundLine::Request),
-        }
+        };
+        Ok(InboundLine::Control(control))
     }
 }
 
@@ -432,19 +453,25 @@ impl ServeResponse {
         value
     }
 
-    /// The back-pressure rejection response: sent without scheduling
-    /// when the request queue is full, so overload degrades into fast
-    /// structured errors instead of unbounded memory growth.
-    pub fn overloaded(id: Option<String>) -> ServeResponse {
+    /// The error answering a line without scheduling it (overloaded,
+    /// oversized, malformed or unroutable), echoing the line's `id`.
+    pub fn rejected(id: Option<String>, message: impl Into<String>) -> ServeResponse {
         ServeResponse {
             id,
-            result: Err(OVERLOADED_ERROR.into()),
+            result: Err(message.into()),
             // The same ≥1µs clock-resolution floor every other path
             // reports: a rejection is fast, not free.
             micros: 1,
             route: None,
             rid: None,
         }
+    }
+
+    /// The back-pressure rejection response: sent without scheduling
+    /// when the request queue is full, so overload degrades into fast
+    /// structured errors instead of unbounded memory growth.
+    pub fn overloaded(id: Option<String>) -> ServeResponse {
+        Self::rejected(id, OVERLOADED_ERROR)
     }
 
     /// Renders the full NDJSON response line (no trailing newline):
@@ -554,7 +581,7 @@ mod tests {
                 Some(v) => Some(v.as_str().ok_or("field `id` must be a string")?.to_string()),
             };
             // The rest of the decoding did not change.
-            let mut rest = ServeRequest::from_value(value)?;
+            let mut rest = ServeRequest::from_value(value).map_err(|(_, message)| message)?;
             rest.id = id;
             rest.qasm = qasm;
             Ok(rest)
@@ -824,7 +851,7 @@ mod tests {
             InboundLine::parse(r#"{"cmd":"shutdown"}"#).unwrap(),
             InboundLine::Control(ControlRequest::Shutdown)
         );
-        let err = InboundLine::parse(r#"{"cmd":"reboot"}"#).unwrap_err();
+        let (_, err) = InboundLine::parse(r#"{"cmd":"reboot"}"#).unwrap_err();
         assert!(err.contains("unknown cmd"), "{err}");
         match InboundLine::parse(
             r#"{"cmd":"calibrate","device":"oqc_lucy",
@@ -841,9 +868,10 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let err = InboundLine::parse(r#"{"cmd":"calibrate"}"#).unwrap_err();
+        let (_, err) = InboundLine::parse(r#"{"cmd":"calibrate"}"#).unwrap_err();
         assert!(err.contains("device"), "{err}");
-        let err = InboundLine::parse(r#"{"cmd":"calibrate","device":"oqc_lucy"}"#).unwrap_err();
+        let (_, err) =
+            InboundLine::parse(r#"{"cmd":"calibrate","device":"oqc_lucy"}"#).unwrap_err();
         assert!(err.contains("calibration"), "{err}");
         assert!(matches!(
             InboundLine::parse(r#"{"qasm":"OPENQASM 2.0;"}"#).unwrap(),

@@ -42,9 +42,15 @@ use std::time::Duration;
 
 use serde_json::Value;
 
+use qrc_obs::PromText;
+
 use crate::listener::{
     accept_connections, read_bounded_line, serve_connection, shutdown_ack, Inbound, ReadLine,
     ReplySink, ShutdownFlag,
+};
+use crate::metrics::{
+    put, write_series, Merge, MetricsSnapshot, ReplicaStats, RouterStats, Scope, METRICS,
+    PER_REPLICA,
 };
 use crate::protocol::{ControlRequest, ServeRequest, ServeResponse, OVERLOADED_ERROR};
 use crate::ring::{mix_key, HashRing};
@@ -151,7 +157,7 @@ struct Replica {
     ejections: AtomicU64,
 }
 
-/// Router-wide counters surfaced in the merged stats `fleet` block.
+/// Router-wide counters, read into [`RouterStats`].
 #[derive(Default)]
 struct RouterCounters {
     /// Requests answered inline because no replica was healthy.
@@ -345,33 +351,45 @@ impl FleetRouter {
             .collect()
     }
 
-    /// Per-replica `(addr, routed, completed, rerouted, ejections,
-    /// healthy)` counters, indexed like the config's replica list.
-    pub fn replica_counters(&self) -> Vec<(String, u64, u64, u64, u64, bool)> {
+    /// Each replica's counters, indexed like the config's replica list.
+    pub fn replica_counters(&self) -> Vec<ReplicaStats> {
         self.replicas
             .iter()
-            .map(|r| {
-                (
-                    r.addr.clone(),
-                    r.routed.load(Ordering::Relaxed),
-                    r.completed.load(Ordering::Relaxed),
-                    r.rerouted.load(Ordering::Relaxed),
-                    r.ejections.load(Ordering::Relaxed),
-                    r.healthy.load(Ordering::SeqCst),
-                )
+            .map(|r| ReplicaStats {
+                addr: r.addr.clone(),
+                healthy: r.healthy.load(Ordering::SeqCst),
+                routed: r.routed.load(Ordering::Relaxed),
+                completed: r.completed.load(Ordering::Relaxed),
+                rerouted: r.rerouted.load(Ordering::Relaxed),
+                ejections: r.ejections.load(Ordering::Relaxed),
             })
             .collect()
+    }
+
+    /// `merged` with the router's own counters and its replicas'.
+    fn fleet_snapshot(&self, merged: MetricsSnapshot) -> MetricsSnapshot {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let replicas = self.replica_counters();
+        let router = RouterStats {
+            replicas: replicas.len() as u64,
+            healthy: replicas.iter().filter(|r| r.healthy).count() as u64,
+            round_robin: load(&self.counters.round_robin),
+            unroutable: load(&self.counters.unroutable),
+            overloaded: load(&self.counters.overloaded),
+            parse_errors: load(&self.counters.parse_errors),
+            vnodes: self.config.vnodes as u64,
+        };
+        MetricsSnapshot {
+            router,
+            replicas,
+            ..merged
+        }
     }
 
     /// Requests the router forwarded round-robin because no routing
     /// key could be extracted.
     pub fn round_robin_count(&self) -> u64 {
         self.counters.round_robin.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered inline because no replica was healthy.
-    pub fn unroutable_count(&self) -> u64 {
-        self.counters.unroutable.load(Ordering::Relaxed)
     }
 
     // ----- client side ------------------------------------------------
@@ -434,13 +452,8 @@ impl FleetRouter {
             };
             let Some(index) = target else {
                 self.counters.unroutable.fetch_add(1, Ordering::Relaxed);
-                let response = ServeResponse {
-                    id: ServeRequest::recover_id(&line),
-                    result: Err("unavailable: no healthy replicas".to_string()),
-                    micros: 1,
-                    route: None,
-                    rid: None,
-                };
+                let id = ServeRequest::recover_id(&line);
+                let response = ServeResponse::rejected(id, "unavailable: no healthy replicas");
                 reply.send(response.to_line());
                 return;
             };
@@ -711,196 +724,73 @@ impl FleetRouter {
     /// Fans a control line out and nests every replica's reply under
     /// its address, with a top-level `ok` that ands the fleet.
     fn fanned_reply(&self, line: &str) -> Value {
-        let per = self.fan_control(line);
-        let mut all_ok = true;
-        let mut nested = Vec::with_capacity(per.len());
-        for (addr, result) in per {
-            match result {
-                Ok(value) => {
-                    all_ok &= value.get("ok").and_then(Value::as_bool).unwrap_or(false);
-                    nested.push((addr, value));
-                }
-                Err(e) => {
-                    all_ok = false;
-                    nested.push((
-                        addr,
-                        Value::object(vec![("ok", Value::from(false)), ("error", Value::from(e))]),
-                    ));
-                }
-            }
-        }
+        let nested: Vec<(String, Value)> = self
+            .fan_control(line)
+            .into_iter()
+            .map(|(addr, result)| (addr, result.unwrap_or_else(failed)))
+            .collect();
+        let all_ok = nested
+            .iter()
+            .all(|(_, reply)| reply.get("ok") == Some(&Value::from(true)));
         Value::object(vec![
             ("ok", Value::from(all_ok)),
-            ("replicas", Value::object(nested)),
+            ("replicas", Value::Object(nested)),
         ])
     }
 
-    /// The merged `{"cmd":"stats"}` reply: fleet-wide counters summed
-    /// across replicas (rates recomputed, never summed), plus a
-    /// `fleet` block nesting each replica's own stats snapshot and the
-    /// router's routing counters.
+    /// The merged `{"cmd":"stats"}` reply: the replicas' replies
+    /// merged row by row through the metric table (counters summed,
+    /// start time and uptime by their rows' rules, derived values such
+    /// as the hit rate recomputed; no latency quantiles, which cannot
+    /// be merged), plus a `fleet` block with the router's own counters
+    /// and each replica's, its own stats reply nested under `stats`.
     pub fn merged_stats(&self) -> Value {
         let per = self.fan_control(r#"{"cmd":"stats"}"#);
-        let stats: Vec<&Value> = per.iter().filter_map(|(_, r)| r.as_ref().ok()).collect();
-        let sum = |path: &[&str]| -> u64 { stats.iter().map(|v| get_u64(v, path)).sum() };
-        let hits = sum(&["cache", "hits"]);
-        let misses = sum(&["cache", "misses"]);
-        let lookups = hits + misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        };
-        let mut pairs = vec![
-            ("requests".to_string(), Value::from(sum(&["requests"]))),
-            ("errors".to_string(), Value::from(sum(&["errors"]))),
-            ("rejected".to_string(), Value::from(sum(&["rejected"]))),
-            (
-                "responses".to_string(),
-                Value::object(vec![
-                    ("hit", Value::from(sum(&["responses", "hit"]))),
-                    ("miss", Value::from(sum(&["responses", "miss"]))),
-                    ("coalesced", Value::from(sum(&["responses", "coalesced"]))),
-                ]),
-            ),
-            (
-                "cache".to_string(),
-                Value::object(vec![
-                    ("hits", Value::from(hits)),
-                    ("warm_hits", Value::from(sum(&["cache", "warm_hits"]))),
-                    ("misses", Value::from(misses)),
-                    ("insertions", Value::from(sum(&["cache", "insertions"]))),
-                    ("evictions", Value::from(sum(&["cache", "evictions"]))),
-                    ("hit_rate", Value::from(hit_rate)),
-                ]),
-            ),
-            ("shards".to_string(), merge_shards(&stats)),
-            (
-                "routes".to_string(),
-                Value::object(vec![
-                    ("exact", Value::from(sum(&["routes", "exact"]))),
-                    (
-                        "band_wildcard",
-                        Value::from(sum(&["routes", "band_wildcard"])),
-                    ),
-                    (
-                        "device_wildcard",
-                        Value::from(sum(&["routes", "device_wildcard"])),
-                    ),
-                    (
-                        "objective_only",
-                        Value::from(sum(&["routes", "objective_only"])),
-                    ),
-                ]),
-            ),
-        ];
-        pairs.push(("fleet".to_string(), self.fleet_block(&per)));
-        Value::object(pairs)
-    }
-
-    /// The per-replica block nested under `fleet` in merged stats.
-    fn fleet_block(&self, per: &[(String, Result<Value, String>)]) -> Value {
-        let healthy = self
-            .replicas
-            .iter()
-            .filter(|r| r.healthy.load(Ordering::SeqCst))
-            .count();
-        let mut nested = Vec::with_capacity(per.len());
-        for (replica, (addr, result)) in self.replicas.iter().zip(per) {
-            let stats = match result {
-                Ok(value) => value.clone(),
-                Err(e) => Value::object(vec![
-                    ("ok", Value::from(false)),
-                    ("error", Value::from(e.clone())),
-                ]),
-            };
-            nested.push((
-                addr.clone(),
-                Value::object(vec![
-                    (
-                        "healthy",
-                        Value::from(replica.healthy.load(Ordering::SeqCst)),
-                    ),
-                    (
-                        "routed",
-                        Value::from(replica.routed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "completed",
-                        Value::from(replica.completed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "rerouted",
-                        Value::from(replica.rerouted.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "ejections",
-                        Value::from(replica.ejections.load(Ordering::Relaxed)),
-                    ),
-                    ("stats", stats),
-                ]),
-            ));
+        let replies: Vec<&Value> = per.iter().filter_map(|(_, r)| r.as_ref().ok()).collect();
+        let mut value = self
+            .fleet_snapshot(MetricsSnapshot::merge_stats(&replies))
+            .fleet_value();
+        for (addr, result) in per {
+            let path = [PER_REPLICA[0], PER_REPLICA[1], &addr, "stats"];
+            put(&mut value, &path, result.unwrap_or_else(failed));
         }
-        Value::object(vec![
-            ("replicas".to_string(), Value::from(per.len() as u64)),
-            ("healthy".to_string(), Value::from(healthy as u64)),
-            (
-                "router".to_string(),
-                Value::object(vec![
-                    (
-                        "round_robin",
-                        Value::from(self.counters.round_robin.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "unroutable",
-                        Value::from(self.counters.unroutable.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "overloaded",
-                        Value::from(self.counters.overloaded.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "parse_errors",
-                        Value::from(self.counters.parse_errors.load(Ordering::Relaxed)),
-                    ),
-                    ("vnodes", Value::from(self.config.vnodes as u64)),
-                ]),
-            ),
-            ("per_replica".to_string(), Value::object(nested)),
-        ])
+        value
     }
 
     /// The merged `{"cmd":"metrics"}` reply: every replica's Prometheus
-    /// exposition fetched and merged series-by-series (cumulative
-    /// counters, histogram buckets and depth gauges sum; start time
-    /// and uptime take the oldest replica's).
+    /// exposition fetched and merged series by series, each by its
+    /// table row's rule, followed by the router's own series.
     pub fn merged_metrics(&self) -> Value {
         let per = self.fan_control(r#"{"cmd":"metrics"}"#);
-        let mut texts = Vec::new();
-        let mut oks = Vec::new();
-        let mut all_ok = true;
-        for (addr, result) in &per {
-            let ok = match result {
-                Ok(value) => {
-                    if let Some(text) = value.get("metrics").and_then(Value::as_str) {
-                        texts.push(text.to_string());
-                        true
-                    } else {
-                        false
-                    }
-                }
-                Err(_) => false,
-            };
-            all_ok &= ok;
-            oks.push((addr.clone(), Value::from(ok)));
-        }
+        let texts: Vec<Option<&str>> = per
+            .iter()
+            .map(|(_, result)| result.as_ref().ok()?.get("metrics")?.as_str())
+            .collect();
+        let oks = per
+            .iter()
+            .zip(&texts)
+            .map(|((addr, _), text)| (addr.clone(), Value::from(text.is_some())))
+            .collect();
+        let mut own = PromText::new();
+        let mut snapshot = self.fleet_snapshot(MetricsSnapshot::default());
+        write_series(&mut own, &mut snapshot, Scope::Router);
+        write_series(&mut own, &mut snapshot, Scope::Replica);
+        let merged = merge_prometheus(texts.iter().flatten().copied()) + &own.finish();
         Value::object(vec![
-            ("ok".to_string(), Value::from(all_ok)),
-            ("format".to_string(), Value::from("prometheus_text_0_0_4")),
-            ("metrics".to_string(), Value::from(merge_prometheus(&texts))),
-            ("replicas".to_string(), Value::object(oks)),
+            ("ok", Value::from(texts.iter().all(Option::is_some))),
+            ("format", Value::from("prometheus_text_0_0_4")),
+            ("metrics", Value::from(merged)),
+            ("replicas", Value::Object(oks)),
         ])
     }
+}
+
+/// The reply nested for a replica whose control round trip failed.
+fn failed(error: String) -> Value {
+    Value::object(vec![
+        ("ok", Value::from(false)),
+        ("error", Value::from(error)),
+    ])
 }
 
 /// Extracts the consistent-hash routing key from a request line:
@@ -931,77 +821,20 @@ fn take_by_id(pending: &mut VecDeque<Ticket>, line: &str) -> Option<Ticket> {
     pending.pop_front()
 }
 
-/// Walks a JSON path of object keys.
-fn get_path<'v>(value: &'v Value, path: &[&str]) -> Option<&'v Value> {
-    let mut at = value;
-    for key in path {
-        at = at.get(key)?;
-    }
-    Some(at)
-}
-
-/// A summable counter at a JSON path (0 when absent).
-fn get_u64(value: &Value, path: &[&str]) -> u64 {
-    get_path(value, path).and_then(Value::as_u64).unwrap_or(0)
-}
-
-/// Merges the per-shard counter blocks of several stats snapshots:
-/// union of shard names (first-seen order), counters summed.
-fn merge_shards(stats: &[&Value]) -> Value {
-    let mut order: Vec<String> = Vec::new();
-    let mut merged: HashMap<String, [u64; 5]> = HashMap::new();
-    const FIELDS: [&str; 5] = ["routed", "hit", "miss", "coalesced", "errors"];
-    for value in stats {
-        let Some(shards) = value.get("shards").and_then(Value::as_object) else {
-            continue;
-        };
-        for (name, counters) in shards {
-            let slot = merged.entry(name.clone()).or_insert_with(|| {
-                order.push(name.clone());
-                [0; 5]
-            });
-            for (i, field) in FIELDS.iter().enumerate() {
-                slot[i] += get_u64(counters, &[field]);
-            }
-        }
-    }
-    Value::object(
-        order
-            .into_iter()
-            .map(|name| {
-                let slot = merged[&name];
-                (
-                    name,
-                    Value::object(
-                        FIELDS
-                            .iter()
-                            .zip(slot)
-                            .map(|(field, count)| (field.to_string(), Value::from(count)))
-                            .collect(),
-                    ),
-                )
-            })
-            .collect(),
-    )
-}
-
 /// Merges Prometheus text expositions series-by-series. Samples with
-/// the same series key (name plus labels) are summed — correct for
-/// cumulative counters, histogram bucket counts, and additive gauges
-/// like queue depth — except the two process-age gauges, which do not
-/// add up: the fleet reports its earliest `qrc_start_time_seconds` and
-/// its longest `qrc_uptime_seconds`. Comment lines and series order
-/// follow the first exposition; series only later replicas expose are
-/// appended.
-fn merge_prometheus(texts: &[String]) -> String {
+/// the same series key (name plus labels) merge by the rule of their
+/// family's row in [`METRICS`]; histogram series, which have no row,
+/// add up. Comment lines and series order follow the first exposition;
+/// series only later replicas expose are appended.
+fn merge_prometheus(texts: impl IntoIterator<Item = impl AsRef<str>>) -> String {
     enum Entry {
         Comment(String),
         Series(String),
     }
     let mut order: Vec<Entry> = Vec::new();
     let mut values: HashMap<String, f64> = HashMap::new();
-    for (i, text) in texts.iter().enumerate() {
-        for line in text.lines() {
+    for (i, text) in texts.into_iter().enumerate() {
+        for line in text.as_ref().lines() {
             if line.is_empty() {
                 continue;
             }
@@ -1022,11 +855,12 @@ fn merge_prometheus(texts: &[String]) -> String {
                     values.insert(key.to_string(), value);
                 }
                 Some(merged) => {
-                    *merged = match key {
-                        "qrc_start_time_seconds" => merged.min(value),
-                        "qrc_uptime_seconds" => merged.max(value),
-                        _ => *merged + value,
-                    }
+                    let family = key.split('{').next().unwrap_or(key);
+                    let rule = METRICS
+                        .iter()
+                        .find(|metric| metric.name == family)
+                        .map_or(Merge::Sum, |metric| metric.merge);
+                    *merged = rule.pick(*merged, value);
                 }
             }
         }

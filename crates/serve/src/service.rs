@@ -14,7 +14,7 @@ use qrc_predictor::PersistError;
 use serde_json::Value;
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::metrics::{MetricsSnapshot, ServeMetrics, Stage};
+use crate::metrics::{put, MetricsSnapshot, ServeMetrics, Stage};
 use crate::persist::{
     head_of_distribution, load_snapshot_file, snapshot_path, CacheSnapshot, PersistedEntry,
     SnapshotDeviceStamp, SnapshotLoad, SnapshotShardStamp, TrafficLog,
@@ -112,12 +112,6 @@ pub struct CompilationService {
     /// Where hot-reloads rescan checkpoints from (`None` for purely
     /// in-memory registries built by tests and the bench harness).
     models_dir: Option<PathBuf>,
-    reloads: AtomicU64,
-    /// Live recalibrations applied since start.
-    calibrations: AtomicU64,
-    /// Cache entries invalidated by recalibrations (fidelity-keyed
-    /// answers of the recalibrated device only).
-    calibration_invalidated: AtomicU64,
     cache: ResultCache,
     /// Total cache capacity — caps how many unique jobs a traffic-log
     /// warmup pre-compiles (warming beyond capacity just evicts).
@@ -125,8 +119,6 @@ pub struct CompilationService {
     metrics: ServeMetrics,
     /// Optional append-only log of served compilation requests.
     traffic_log: Mutex<Option<TrafficLog>>,
-    /// Entries resident when warmup finished (0 = cold start).
-    warm_entries: AtomicU64,
     /// When the last snapshot was written and how many entries it held.
     last_snapshot: Mutex<Option<(Instant, u64)>>,
     seed: u64,
@@ -242,14 +234,10 @@ impl CompilationService {
             registry: RwLock::new(Arc::new(registry)),
             reload_lock: Mutex::new(()),
             models_dir: None,
-            reloads: AtomicU64::new(0),
-            calibrations: AtomicU64::new(0),
-            calibration_invalidated: AtomicU64::new(0),
             cache: ResultCache::new(config.cache_capacity, config.cache_shards),
             cache_capacity: config.cache_capacity,
             metrics: ServeMetrics::new(),
             traffic_log: Mutex::new(None),
-            warm_entries: AtomicU64::new(0),
             last_snapshot: Mutex::new(None),
             seed: config.seed,
             batch_options: scheduler::BatchOptions {
@@ -357,7 +345,7 @@ impl CompilationService {
         // shards keep their warm entries (their generation survives
         // the rescan).
         report.invalidated = self.cache.retain(|key| !changed.contains(&key.shard));
-        self.reloads.fetch_add(1, Ordering::Relaxed);
+        self.metrics.record_reload();
         self.refresh_retrain_state();
         Ok(report)
     }
@@ -395,11 +383,6 @@ impl CompilationService {
         }
     }
 
-    /// Number of hot-reloads performed since start.
-    pub fn reload_count(&self) -> u64 {
-        self.reloads.load(Ordering::Relaxed)
-    }
-
     /// Applies a live recalibration to `device` and selectively purges
     /// the result cache: exactly the calibration-keyed entries
     /// (fidelity/combination objectives) that pinned or landed on that
@@ -434,9 +417,7 @@ impl CompilationService {
             !(key.shard.objective.uses_calibration()
                 && (key.device_pin == Some(id) || value.device == Some(id)))
         });
-        self.calibrations.fetch_add(1, Ordering::Relaxed);
-        self.calibration_invalidated
-            .fetch_add(invalidated, Ordering::Relaxed);
+        self.metrics.record_calibration(invalidated);
         Ok((generation, invalidated))
     }
 
@@ -459,16 +440,6 @@ impl CompilationService {
                 ("error", Value::from(format!("calibrate failed: {e}"))),
             ]),
         }
-    }
-
-    /// Number of live recalibrations applied since start.
-    pub fn calibration_count(&self) -> u64 {
-        self.calibrations.load(Ordering::Relaxed)
-    }
-
-    /// Cache entries invalidated by recalibrations since start.
-    pub fn calibration_invalidated(&self) -> u64 {
-        self.calibration_invalidated.load(Ordering::Relaxed)
     }
 
     /// Starts appending every scheduled compilation request to the
@@ -636,13 +607,8 @@ impl CompilationService {
     pub fn finish_warmup(&self) -> u64 {
         let warm = self.cache.mark_warm();
         self.cache.reset_counters();
-        self.warm_entries.store(warm, Ordering::Relaxed);
+        self.metrics.set_warm_entries(warm);
         warm
-    }
-
-    /// Entries that were resident when warmup finished.
-    pub fn warm_entries(&self) -> u64 {
-        self.warm_entries.load(Ordering::Relaxed)
     }
 
     /// Persists the result cache to `cache_snapshot.ndjson` next to
@@ -860,12 +826,11 @@ impl CompilationService {
     /// pairs in, recorded responses out, no line copies.
     fn handle_queued_inner(&self, items: &[(&str, u64)]) -> Vec<ServeResponse> {
         // Parse what we can, timing each line's parse: for hits and
-        // errors, parsing *is* most of their real cost. A rejected
-        // line carries whether its `id` may be recovered: not from an
-        // oversized one, which is never parsed, so that its size limit
-        // bounds the memory it can cost (the front ends answer such a
-        // line with `id: null` too).
-        let mut slots: Vec<Result<(), (String, bool)>> = Vec::with_capacity(items.len());
+        // errors, parsing *is* most of their real cost. A rejected line
+        // carries the `id` its one decode found; an oversized line is
+        // never parsed, so that its size limit bounds the memory it can
+        // cost, and is answered with `id: null` (as the front ends do).
+        let mut slots: Vec<Result<(), (Option<String>, String)>> = Vec::with_capacity(items.len());
         let mut parse_us: Vec<u64> = Vec::with_capacity(items.len());
         let mut requests: Vec<ServeRequest> = Vec::new();
         let mut queue_waits: Vec<u64> = Vec::new();
@@ -873,15 +838,15 @@ impl CompilationService {
             let parse_start = Instant::now();
             if line.len() > self.max_request_bytes {
                 let message = oversized_error(line.len(), self.max_request_bytes);
-                slots.push(Err((message, false)));
+                slots.push(Err((None, message)));
             } else {
-                match ServeRequest::parse(line) {
+                match ServeRequest::decode(line) {
                     Ok(request) => {
                         slots.push(Ok(()));
                         requests.push(request);
                         queue_waits.push(*queue_us);
                     }
-                    Err(message) => slots.push(Err((message, true))),
+                    Err(rejected) => slots.push(Err(rejected)),
                 }
             }
             parse_us.push(parse_start.elapsed().as_micros() as u64);
@@ -898,7 +863,7 @@ impl CompilationService {
             .zip(items)
             .zip(parse_us)
             .enumerate()
-            .map(|(index, ((slot, (line, queue_us)), parse_us))| {
+            .map(|(index, ((slot, (_, queue_us)), parse_us))| {
                 let (mut response, stage_parts) = match slot {
                     Ok(()) => {
                         let (mut response, parts) =
@@ -906,13 +871,10 @@ impl CompilationService {
                         response.micros += parse_us;
                         (response, Some(parts))
                     }
-                    Err((message, recover)) => (
+                    Err((id, message)) => (
                         ServeResponse {
-                            id: recover.then(|| ServeRequest::recover_id(line)).flatten(),
-                            result: Err(message),
                             micros: queue_us + parse_us,
-                            route: None,
-                            rid: None,
+                            ..ServeResponse::rejected(id, message)
                         },
                         None,
                     ),
@@ -1002,68 +964,42 @@ impl CompilationService {
     }
 
     /// Aggregate metrics (requests, errors, cache counters, per-shard
-    /// routing counters, latency percentiles).
+    /// routing counters, reload and calibration counters, the live
+    /// queue depth, latency percentiles).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(self.cache.stats())
+        MetricsSnapshot {
+            queue_depth: self.queue_depth(),
+            ..self.metrics.snapshot(self.cache.stats())
+        }
     }
 
-    /// The full `{"cmd":"stats"}` reply: the metrics snapshot plus the
-    /// registry block (loaded shard keys, checkpoint paths and mtimes,
-    /// reload count), so operators can confirm a hot-reload took
-    /// effect.
+    /// The full `{"cmd":"stats"}` reply: the metrics snapshot plus what
+    /// is no counter — the loaded shard keys with checkpoint paths and
+    /// mtimes (so operators can confirm a hot-reload took effect),
+    /// every device this process can serve with its calibration
+    /// generation, the last cache snapshot, and the last offline
+    /// retraining run.
     pub fn stats_value(&self) -> Value {
         let mut value = self.metrics().to_value();
-        if let Value::Object(pairs) = &mut value {
-            pairs.push((
-                "registry".into(),
-                Value::object(vec![
-                    ("shards", self.registry().to_value()),
-                    ("reloads", Value::from(self.reload_count())),
-                ]),
-            ));
-            // Every device this process can serve, with calibration
-            // generation and spec provenance — so operators can confirm
-            // a `--device-dir` load or a live calibrate took effect.
-            pairs.push((
-                "devices".into(),
-                Value::object(vec![
-                    ("known", DeviceRegistry::devices_value()),
-                    ("calibrations", Value::from(self.calibration_count())),
-                    (
-                        "calibration_invalidated",
-                        Value::from(self.calibration_invalidated()),
-                    ),
-                ]),
-            ));
-            let (age, entries) = match *self.last_snapshot.lock().expect("snapshot stamp poisoned")
-            {
-                Some((at, entries)) => (Value::from(at.elapsed().as_secs()), Value::from(entries)),
-                None => (Value::Null, Value::Null),
-            };
-            pairs.push((
-                "persistence".into(),
-                Value::object(vec![
-                    ("warm_entries", Value::from(self.warm_entries())),
-                    ("snapshot_age_secs", age),
-                    ("snapshot_entries", entries),
-                ]),
-            ));
-            // The last offline retraining run (promotion counters,
-            // entropy floor, per-shard gate evidence) — all zeros
-            // before any run so the block is always present.
-            let retrain = self
-                .retrain_state
-                .lock()
-                .expect("retrain state poisoned")
-                .clone()
-                .unwrap_or_else(|| crate::retrain::RetrainReport::default().summary_value());
-            pairs.push(("retrain".into(), retrain));
-            // Live gauge, not a counter: only meaningful while a
-            // pipelined front end is driving the service.
-            if let Some(depth) = self.queue_depth() {
-                pairs.push(("queue_depth".into(), Value::from(depth)));
-            }
-        }
+        let shards = self.registry().to_value();
+        put(&mut value, &["registry", "shards"], shards);
+        let devices = DeviceRegistry::devices_value();
+        put(&mut value, &["devices", "known"], devices);
+        let (age, entries) = match *self.last_snapshot.lock().expect("snapshot stamp poisoned") {
+            Some((at, entries)) => (Value::from(at.elapsed().as_secs()), Value::from(entries)),
+            None => (Value::Null, Value::Null),
+        };
+        put(&mut value, &["persistence", "snapshot_age_secs"], age);
+        put(&mut value, &["persistence", "snapshot_entries"], entries);
+        // Promotion counters, entropy floor, per-shard gate evidence —
+        // all zeros before any run so the block is always present.
+        let retrain = self
+            .retrain_state
+            .lock()
+            .expect("retrain state poisoned")
+            .clone()
+            .unwrap_or_else(|| crate::retrain::RetrainReport::default().summary_value());
+        put(&mut value, &["retrain"], retrain);
         value
     }
 

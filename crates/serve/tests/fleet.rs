@@ -1,6 +1,8 @@
 //! End-to-end fleet tests: a real `FleetRouter` fronting in-process
 //! socket replicas. Exercises consistent routing, merged control
-//! fan-out, mid-stream replica loss with zero lost requests, and a
+//! fan-out (the merged stats are the sum of the replicas' by the metric
+//! table's rules, and every table row shows in the merged stats and
+//! exposition), mid-stream replica loss with zero lost requests, and a
 //! clean drain.
 
 use std::io::{BufRead, BufReader, Write};
@@ -12,9 +14,10 @@ use qrc_benchgen::BenchmarkFamily;
 use qrc_predictor::{train, PredictorConfig, RewardKind};
 use qrc_rl::PpoConfig;
 use qrc_serve::{
-    serve_socket, CompilationService, FleetRouter, FrontendConfig, ModelRegistry, RouterConfig,
-    ServiceConfig, ShutdownFlag,
+    serve_socket, CompilationService, FleetRouter, FrontendConfig, Kind, Merge, ModelRegistry,
+    RouterConfig, Scope, ServiceConfig, ShutdownFlag, METRICS,
 };
+use serde_json::Value;
 
 fn tiny_service() -> Arc<CompilationService> {
     let suite = vec![
@@ -154,6 +157,32 @@ fn fleet_routes_merges_stats_and_survives_replica_loss() {
     reader.read_line(&mut line).unwrap();
     assert!(line.contains(r#""fleet""#), "no fleet block: {line}");
     assert!(line.contains(&a.addr) && line.contains(&b.addr));
+    let merged = serde_json::from_str(&line).unwrap();
+    assert_merged_from_replicas(&merged, &[&a.addr, &b.addr]);
+
+    // The merged exposition carries every row's family, the router's
+    // own series included.
+    writeln!(writer, r#"{{"cmd":"metrics"}}"#).unwrap();
+    writer.flush().unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let reply = serde_json::from_str(&line).unwrap();
+    let text = reply.get("metrics").and_then(Value::as_str).unwrap();
+    for metric in METRICS {
+        if let Some(kind) = metric.kind.prometheus() {
+            let header = format!("# TYPE {} {kind}\n", metric.name);
+            assert!(text.contains(&header), "no `{header}` in:\n{text}");
+            assert!(
+                text.contains(&format!("\n{}", metric.name)),
+                "{}",
+                metric.name
+            );
+        }
+    }
+    assert!(text.contains(&format!(
+        "qrc_replica_healthy{{replica=\"{}\"}} 1\n",
+        a.addr
+    )));
 
     // Consistent hashing: identical repeated traffic stays put, so
     // every distinct key was owned by exactly one replica.
@@ -161,7 +190,7 @@ fn fleet_routes_merges_stats_and_survives_replica_loss() {
         assert_eq!(owners.len(), 1, "key {key:#x} bounced between replicas");
     }
     let counters = router.replica_counters();
-    let routed: Vec<u64> = counters.iter().map(|c| c.1).collect();
+    let routed: Vec<u64> = counters.iter().map(|c| c.routed).collect();
     assert!(
         routed.iter().all(|&n| n > 0),
         "one replica never saw traffic: {routed:?}"
@@ -179,7 +208,7 @@ fn fleet_routes_merges_stats_and_survives_replica_loss() {
         assert!(line.contains(r#""ok":true"#), "post-loss failure: {line}");
     }
     let counters = router.replica_counters();
-    let alive = counters.iter().filter(|c| c.5).count();
+    let alive = counters.iter().filter(|c| c.healthy).count();
     assert_eq!(alive, 1, "dead replica not ejected: {counters:?}");
 
     // Clean drain: shutdown drains the router; replica B keeps
@@ -195,4 +224,89 @@ fn fleet_routes_merges_stats_and_survives_replica_loss() {
 
     b.shutdown.request();
     b.server.join().unwrap().unwrap();
+}
+
+fn lookup<'v>(value: &'v Value, path: &[&str]) -> Option<&'v Value> {
+    path.iter().try_fold(value, |at, key| at.get(key))
+}
+
+/// Checks a merged stats reply against the replica replies nested in
+/// it: every node and shard row is its replicas' values merged by the
+/// row's rule (summable counters are their sum), the derived cache
+/// values are recomputed from the merged counters, latency quantiles
+/// stay out, and every router and replica row is present.
+fn assert_merged_from_replicas(merged: &Value, addrs: &[&str]) {
+    let replicas: Vec<&Value> = addrs
+        .iter()
+        .map(|addr| lookup(merged, &["fleet", "per_replica", addr, "stats"]).unwrap())
+        .collect();
+    let shards: Vec<String> = merged
+        .get("shards")
+        .and_then(Value::as_object)
+        .unwrap()
+        .iter()
+        .map(|(name, _)| name.clone())
+        .collect();
+    assert!(!shards.is_empty(), "no shard routed: {merged}");
+    for metric in METRICS {
+        let roots: Vec<Vec<&str>> = match metric.scope {
+            Scope::Node => vec![vec![]],
+            Scope::Shard => shards.iter().map(|s| vec!["shards", s.as_str()]).collect(),
+            Scope::Router => vec![vec!["fleet"]],
+            Scope::Replica => addrs
+                .iter()
+                .map(|a| vec!["fleet", "per_replica", a])
+                .collect(),
+        };
+        for root in roots {
+            for (_, path) in metric.series() {
+                let path = [root.as_slice(), &path].concat();
+                let value = lookup(merged, &path);
+                assert!(value.is_some(), "no {path:?} in {merged}");
+                let summed = matches!(metric.scope, Scope::Node | Scope::Shard);
+                if !summed || metric.kind == Kind::Derived {
+                    continue;
+                }
+                let parts = replicas.iter().filter_map(|r| lookup(r, &path));
+                match metric.merge {
+                    Merge::Sum => {
+                        let sum: u64 = parts.map(|v| v.as_u64().unwrap()).sum();
+                        assert_eq!(value.and_then(Value::as_u64), Some(sum), "{path:?}");
+                    }
+                    rule => {
+                        let part = parts
+                            .map(|v| v.as_f64().unwrap())
+                            .reduce(|a, b| rule.pick(a, b));
+                        assert_eq!(value.and_then(Value::as_f64), part, "{path:?}");
+                    }
+                }
+            }
+        }
+    }
+    // The fleet started with its first replica and has been up as long
+    // as its oldest.
+    let each = |key: &str| -> Vec<f64> {
+        let value = |r: &&Value| r.get(key).and_then(Value::as_f64).unwrap();
+        replicas.iter().map(value).collect()
+    };
+    let start = merged.get("started_epoch_secs").and_then(Value::as_f64);
+    assert_eq!(
+        start,
+        each("started_epoch_secs").into_iter().reduce(f64::min)
+    );
+    let uptime = merged.get("uptime_secs").and_then(Value::as_f64);
+    assert_eq!(uptime, each("uptime_secs").into_iter().reduce(f64::max));
+    let cache = |key: &str| {
+        lookup(merged, &["cache", key])
+            .and_then(Value::as_f64)
+            .unwrap()
+    };
+    assert_eq!(cache("cold_hits"), cache("hits") - cache("warm_hits"));
+    let lookups = cache("hits") + cache("misses");
+    assert!(lookups > 0.0);
+    assert_eq!(cache("hit_rate"), cache("hits") / lookups);
+    assert!(
+        merged.get("latency_us").is_none(),
+        "quantiles cannot be summed"
+    );
 }

@@ -20,8 +20,8 @@ use qrc_serve::persist::{
     load_snapshot_file, snapshot_path, CacheSnapshot, PersistedEntry, SnapshotLoad,
 };
 use qrc_serve::{
-    CacheKey, CompilationService, CompiledResult, ModelRegistry, ResultCache, ServeRequest,
-    ServeResponse, ServiceConfig, ShardKey,
+    CacheKey, CacheStatus, CompilationService, CompiledResult, ModelRegistry, ResultCache,
+    ServeRequest, ServeResponse, ServiceConfig, ShardKey,
 };
 
 fn tiny_model(reward: RewardKind, seed: u64) -> TrainedPredictor {
@@ -151,7 +151,7 @@ fn warmed_restart_answers_byte_identically_with_warm_hits() {
     assert!(!report.quarantined && !report.missing);
     let warm = warmed.finish_warmup();
     assert_eq!(warm, written.entries);
-    assert_eq!(warmed.warm_entries(), warm);
+    assert_eq!(warmed.metrics().warm_entries, warm);
 
     let warmed_lines = payload_lines(&warmed.handle_batch(&traffic));
     assert_eq!(reference, warmed_lines, "warmed restart is byte-identical");
@@ -166,7 +166,7 @@ fn warmed_restart_answers_byte_identically_with_warm_hits() {
         "every unique job was persisted, so nothing recompiles"
     );
     assert_eq!(
-        stats.hit_responses,
+        stats.responses[CacheStatus::Hit as usize],
         traffic.len() as u64,
         "every request is answered from the warmed cache"
     );

@@ -166,7 +166,7 @@ fn reload_under_load_drops_nothing_and_quarantines_torn_checkpoints() {
         total_ok += ok;
     }
     assert!(total_ok > 0, "the load generators actually ran");
-    assert_eq!(service.reload_count(), 3);
+    assert_eq!(service.metrics().reloads, 3);
 
     // Stats confirm what the operator needs to see after a reload:
     // shard keys, checkpoint mtimes, and the reload count.

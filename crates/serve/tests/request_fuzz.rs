@@ -6,7 +6,9 @@
 //! and `u32::MAX`; and huge, subnormal and non-finite angles. Every
 //! reply must be a single line of JSON with a boolean `ok`. When the
 //! line is valid JSON with a string `id` and within the size limit, an
-//! `ok: false` reply must echo that id.
+//! `ok: false` reply must echo that id, and the line's one decode
+//! (`ServeRequest::decode`, `InboundLine::parse`) must return the id
+//! `ServeRequest::recover_id` reads.
 
 use std::sync::OnceLock;
 
@@ -14,7 +16,7 @@ use proptest::prelude::*;
 use qrc_benchgen::BenchmarkFamily;
 use qrc_predictor::{train, PredictorConfig, RewardKind};
 use qrc_rl::PpoConfig;
-use qrc_serve::{CompilationService, ModelRegistry, ServeRequest, ServiceConfig};
+use qrc_serve::{CompilationService, InboundLine, ModelRegistry, ServeRequest, ServiceConfig};
 use serde_json::Value;
 
 /// Small enough that the byte-level cases reach the size limit.
@@ -62,8 +64,16 @@ fn service() -> &'static CompilationService {
     })
 }
 
-/// Sends `line` and checks the reply's shape and id echo.
+/// Sends `line` and checks the reply's shape and id echo, and that a
+/// rejecting decode returns the id `recover_id` reads.
 fn check(line: &str) -> Result<(), TestCaseError> {
+    let recovered = ServeRequest::recover_id(line);
+    if let Err((id, _)) = ServeRequest::decode(line) {
+        prop_assert_eq!(&id, &recovered, "decode of {:?}", line);
+    }
+    if let Err((id, _)) = InboundLine::parse(line) {
+        prop_assert_eq!(&id, &recovered, "inbound parse of {:?}", line);
+    }
     let reply = service().handle_line(line);
     prop_assert!(
         !reply.contains('\n'),
@@ -92,6 +102,37 @@ fn check(line: &str) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// One line per rejection class: each is rejected, and the one decode
+/// returns the id `recover_id` reads from it.
+#[test]
+fn rejections_return_the_recovered_id() {
+    for line in [
+        r#"{"id":"no-qasm"}"#,
+        r#"{"qasm":5,"id":"mistyped-qasm"}"#,
+        r#"{"id":"objective","qasm":"x","objective":"speed"}"#,
+        r#"{"id":"device","qasm":"x","device":"nowhere"}"#,
+        r#"{"id":"mistyped","qasm":"x","objective":7}"#,
+        r#"{"id":7,"qasm":"x"}"#,
+        r#"{"id":7}"#,
+        r#"{"id":"first","id":8,"qasm":"x","device":"nowhere"}"#,
+        r#"{"id":"control","cmd":"reboot"}"#,
+        r#"{"cmd":"calibrate","id":"calibrate"}"#,
+        "[1]",
+        "not json",
+    ] {
+        let recovered = ServeRequest::recover_id(line);
+        let (id, _) = ServeRequest::decode(line).unwrap_err();
+        assert_eq!(id, recovered, "decode of {line}");
+        let (id, _) = InboundLine::parse(line).unwrap_err();
+        assert_eq!(id, recovered, "inbound parse of {line}");
+        check(line).unwrap();
+    }
+    assert_eq!(
+        ServeRequest::recover_id(r#"{"id":"device","qasm":"x","device":"nowhere"}"#).as_deref(),
+        Some("device")
+    );
 }
 
 fn request_line(id: &str, qasm: String) -> String {

@@ -298,16 +298,17 @@ fn metrics_counters_partition_requests() {
     service.record_rejected();
 
     let snap = service.metrics();
+    let [hits, misses, coalesced] = snap.responses;
     assert_eq!(snap.requests, 10);
     assert_eq!(
         snap.requests,
-        snap.errors + snap.hit_responses + snap.miss_responses + snap.coalesced_responses,
+        snap.errors + hits + misses + coalesced,
         "every request is exactly one of error/hit/miss/coalesced: {snap:?}"
     );
     assert_eq!(snap.errors, 4);
-    assert_eq!(snap.miss_responses, 1);
-    assert_eq!(snap.coalesced_responses, 2);
-    assert_eq!(snap.hit_responses, 3);
+    assert_eq!(misses, 1);
+    assert_eq!(coalesced, 2);
+    assert_eq!(hits, 3);
     assert_eq!(snap.rejected, 2, "rejections counted apart from errors");
 }
 
