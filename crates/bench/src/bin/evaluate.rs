@@ -15,27 +15,15 @@
 //!   perf                    serial-vs-parallel scoring throughput only
 //!                           (writes BENCH_eval.json)
 //!   serve                   replay a synthetic traffic mix through the
-//!                           qrc-serve compilation service nine ways:
-//!                           serial, blocking batched, the pipelined
-//!                           socket front end, a sharded registry
-//!                           vs the monolithic baseline over a
-//!                           multi-device width-skewed mix, a
-//!                           restart-warmup arm (cold restart vs
-//!                           snapshot-warmed restart), a cold-cache
-//!                           observability arm (full profiler +
-//!                           span sampling on vs off, with a per-stage
-//!                           latency breakdown), a fleet arm (the mix
-//!                           streamed through the qrc-lb consistent-
-//!                           hash router over three socket replicas at
-//!                           matched total cache capacity), a
-//!                           closed-loop retrain arm (weak checkpoints
-//!                           serve a logged skewed mix, qrc-retrain
-//!                           fine-tunes on the logged head, the gate
-//!                           promotes, and reload swaps the candidate
-//!                           in under live load), and a dynamic-device
-//!                           arm (runtime-registered device with a
-//!                           live mid-run calibration swap) (writes
-//!                           BENCH_serve.json)
+//!                           qrc-serve compilation service in seven
+//!                           arms (serial / blocking batched /
+//!                           pipelined socket replay, sharded registry,
+//!                           restart warmup, observability, fleet
+//!                           router, closed-loop retrain, dynamic
+//!                           devices), print each arm's block, write
+//!                           BENCH_serve.json, then check every row of
+//!                           `serve_bench::GATES` on it: each failing
+//!                           row is printed, and any failure exits 1
 //!   all                     everything above except `serve` from one
 //!                           evaluation run
 //!
@@ -234,342 +222,39 @@ fn run_instrumented(settings: &EvalSettings, bench_out: &std::path::Path) -> Eva
     eval
 }
 
-/// Replays the synthetic traffic mix through the compilation service
-/// (serial, then batched), prints the comparison, and persists
-/// `BENCH_serve.json`. Exits nonzero if the batched responses diverge
-/// from serial or the cache never hit — both are hard guarantees of
-/// the serving layer.
+/// Runs the serve arms, prints each arm's block, and writes
+/// `BENCH_serve.json`; then checks every row of `GATES` on that
+/// artifact, prints each failing row, and exits 1 if any failed.
 fn run_serve(
     settings: &EvalSettings,
     serve_settings: &qrc_bench::serve_bench::ServeBenchSettings,
     bench_out: &std::path::Path,
 ) {
-    let report = qrc_bench::serve_bench::run_serve_bench(settings, serve_settings);
-    println!("\n=== Serve throughput (synthetic traffic replay) ===");
-    println!(
-        "{} requests | batch {} | {} threads | serial {:.3}s ({:.1} req/s) | \
-         batched {:.3}s ({:.1} req/s) | speedup {:.2}x",
-        report.requests,
-        report.batch_size,
-        report.threads,
-        report.serial_secs,
-        report.requests_per_sec_serial(),
-        report.batched_secs,
-        report.requests_per_sec(),
-        report.speedup()
-    );
-    println!(
-        "pipelined socket (port {}): {:.3}s ({:.1} req/s) | vs blocking batched {:.2}x | \
-         payloads == serial: {}",
-        report.pipelined_port,
-        report.pipelined_secs,
-        report.requests_per_sec_pipelined(),
-        report.pipelined_speedup(),
-        report.pipelined_identical
-    );
-    println!(
-        "sharded registry ({} shards routed, extras trained in {:.1}s): {} requests | \
-         batched {:.3}s ({:.1} req/s) | monolithic {:.3}s | vs monolithic {:.2}x | \
-         payloads == per-request serial: {}",
-        report.shard_stats.len(),
-        report.shard_train_secs,
-        report.sharded_requests,
-        report.sharded_secs,
-        report.requests_per_sec_sharded(),
-        report.monolithic_secs,
-        report.sharded_vs_monolithic(),
-        report.sharded_identical
-    );
-    for stat in &report.shard_stats {
+    let blocks = qrc_bench::serve_bench::run_serve_bench(settings, serve_settings);
+    for (arm, block) in &blocks {
         println!(
-            "  shard {:<28} routed {:>5} | hit {:>5} | miss {:>5} | coalesced {:>5}",
-            stat.shard,
-            stat.counters.routed(),
-            stat.counters.hits,
-            stat.counters.misses,
-            stat.counters.coalesced
+            "\n=== serve: {arm} ===\n{}",
+            serde_json::to_string_pretty(block)
         );
     }
-    println!(
-        "  routes: exact {} | band_wildcard {} | device_wildcard {} | objective_only {}",
-        report.route_counts.exact,
-        report.route_counts.band_wildcard,
-        report.route_counts.device_wildcard,
-        report.route_counts.objective_only
-    );
-    println!(
-        "restart warmup ({} requests, snapshot {} entries): cold {:.3}s (hit rate {:.1}%) | \
-         warmed {:.3}s (hit rate {:.1}%, {} warm hits) | warmed vs cold {:.2}x | \
-         payloads identical across never/cold/warmed: {}",
-        report.restart_requests,
-        report.snapshot_entries,
-        report.cold_restart_secs,
-        report.cold_hit_rate * 100.0,
-        report.warmed_restart_secs,
-        report.warmed_hit_rate * 100.0,
-        report.warm_hits,
-        report.warmed_vs_cold(),
-        report.restart_identical
-    );
-    println!(
-        "observability ({} requests, 1-in-{} spans, best of 5 cold rounds): \
-         off {:.3}s | on {:.3}s | overhead {:+.2}% | payloads identical: {} | \
-         {} spans over {} sampled requests (trace valid: {})",
-        report.obs_requests,
-        report.obs_trace_sample,
-        report.obs_disabled_secs,
-        report.obs_enabled_secs,
-        report.obs_overhead_frac() * 100.0,
-        report.obs_identical,
-        report.obs_trace_events,
-        report.obs_sampled_requests,
-        report.obs_trace_valid
-    );
-    println!(
-        "  stage breakdown: parse {:.0}µs + admission {:.0}µs + compute {:.0}µs \
-         accounts for {:.1}% of the {:.0}µs mean miss latency \
-         (profiler drill-down: {:.0}µs/miss)",
-        report.obs_parse_mean_us,
-        report.obs_admission_mean_us,
-        report.obs_compute_mean_us,
-        report.obs_breakdown_frac() * 100.0,
-        report.obs_mean_miss_us,
-        report.obs_profile_mean_us
-    );
-    println!(
-        "fleet ({} replicas, {} requests routed): {:.3}s ({:.0} req/s, {:.2}x serial) | \
-         payloads identical: {} | effective hit rate {:.1}% vs single-node {:.1}% | \
-         locality ok: {} | {} errors, {} rerouted, {} round-robin",
-        report.fleet_replicas,
-        report.fleet_requests,
-        report.fleet_secs,
-        report.requests_per_sec_fleet(),
-        report.fleet_vs_serial(),
-        report.fleet_identical,
-        report.fleet_hit_rate * 100.0,
-        report.fleet_single_hit_rate * 100.0,
-        report.fleet_locality_ok,
-        report.fleet_errors,
-        report.fleet_rerouted,
-        report.fleet_round_robin
-    );
-    for replica in &report.fleet_stats {
-        println!(
-            "  replica {}: {} routed, {} completed, {} hits / {} misses",
-            replica.addr, replica.routed, replica.completed, replica.hits, replica.misses
-        );
-    }
-    println!(
-        "closed-loop retrain ({} logged requests, {:.1}s offline): \
-         {} considered / {} skipped / {} candidates / {} promoted / {} rejected | \
-         head {:.4} -> {:.4} (+{:.4}) | holdout {:.4} -> {:.4} | \
-         entropy {:.3} (floor {:.3}) | swap: {} served, {} failed | \
-         post-swap payloads identical: {} | served reward {:.4} -> {:.4}",
-        report.retrain_requests,
-        report.retrain_secs,
-        report.retrain_shards_considered,
-        report.retrain_skipped,
-        report.retrain_candidates,
-        report.retrain_promoted,
-        report.retrain_rejected,
-        report.retrain_incumbent_head_reward,
-        report.retrain_candidate_head_reward,
-        report.retrain_head_improvement(),
-        report.retrain_incumbent_holdout_reward,
-        report.retrain_candidate_holdout_reward,
-        report.retrain_candidate_entropy,
-        report.retrain_entropy_floor,
-        report.retrain_swap_served,
-        report.retrain_swap_failed,
-        report.retrain_identical,
-        report.retrain_before_mean_reward,
-        report.retrain_after_mean_reward
-    );
-    println!(
-        "dynamic devices ({} requests incl. `{}` pins, seed tag {}): \
-         before {:.3}s | after calibrate {:.3}s | built-in parity: {} | \
-         generation {} invalidated {} | {}/{} calibration-keyed payloads changed | \
-         others identical: {} | {} errors",
-        report.dyn_requests,
-        report.dyn_device,
-        report.dyn_seed_tag,
-        report.dyn_before_secs,
-        report.dyn_after_secs,
-        report.dyn_builtin_parity,
-        report.dyn_calibration_generation,
-        report.dyn_invalidated,
-        report.dyn_changed,
-        report.dyn_expected_changed,
-        report.dyn_others_identical,
-        report.dyn_errors
-    );
-    println!(
-        "cache: {} hits / {} misses (hit rate {:.1}%) | latency p50 {}µs p99 {}µs | \
-         {} errors | batched == serial: {}",
-        report.hits,
-        report.misses,
-        report.hit_rate * 100.0,
-        report.p50_us,
-        report.p99_us,
-        report.errors,
-        report.identical
-    );
-    match qrc_bench::report::write_bench_serve_json(bench_out, &report, settings) {
+    let artifact = qrc_bench::report::bench_serve_value(blocks, settings);
+    match qrc_bench::report::write_bench_serve_json(bench_out, &artifact) {
         Ok(()) => println!("wrote {}", bench_out.display()),
         Err(e) => eprintln!("could not write {}: {e}", bench_out.display()),
     }
-    if !report.identical {
-        eprintln!("FAIL: batched serving diverged from serial execution");
+    let gates = qrc_bench::serve_bench::GATES;
+    let mut failed = 0;
+    for gate in gates {
+        if let Err(message) = (gate.check)(&artifact) {
+            eprintln!("FAIL: {}: {message}", gate.name);
+            failed += 1;
+        }
+    }
+    if failed > 0 {
+        eprintln!("{failed} of {} gates failed", gates.len());
         std::process::exit(1);
     }
-    if !report.pipelined_identical {
-        eprintln!("FAIL: pipelined socket serving diverged from serial execution");
-        std::process::exit(1);
-    }
-    if !report.sharded_identical {
-        eprintln!("FAIL: sharded serving diverged from per-request serial compilation");
-        std::process::exit(1);
-    }
-    if report.hit_rate <= 0.0 {
-        eprintln!("FAIL: traffic replay produced no cache hits");
-        std::process::exit(1);
-    }
-    if !report.restart_identical {
-        eprintln!("FAIL: restarted serving diverged from the never-restarted reference");
-        std::process::exit(1);
-    }
-    if report.warmed_hit_rate <= report.cold_hit_rate {
-        eprintln!(
-            "FAIL: warmed restart hit rate ({:.3}) must beat cold restart ({:.3})",
-            report.warmed_hit_rate, report.cold_hit_rate
-        );
-        std::process::exit(1);
-    }
-    if report.warm_hits == 0 {
-        eprintln!("FAIL: warmed restart never hit a pre-warmed entry");
-        std::process::exit(1);
-    }
-    if !report.obs_identical {
-        eprintln!("FAIL: the observability surface changed compilation payloads");
-        std::process::exit(1);
-    }
-    if report.obs_overhead_frac() > 0.05 {
-        eprintln!(
-            "FAIL: observability overhead {:.2}% exceeds the 5% budget \
-             (on {:.3}s vs off {:.3}s)",
-            report.obs_overhead_frac() * 100.0,
-            report.obs_enabled_secs,
-            report.obs_disabled_secs
-        );
-        std::process::exit(1);
-    }
-    if report.obs_breakdown_frac() < 0.9 {
-        eprintln!(
-            "FAIL: stage breakdown accounts for only {:.1}% of the mean miss latency \
-             (must be ≥ 90%)",
-            report.obs_breakdown_frac() * 100.0
-        );
-        std::process::exit(1);
-    }
-    if !report.obs_trace_valid || report.obs_sampled_requests == 0 {
-        eprintln!(
-            "FAIL: the instrumented replay produced no valid trace \
-             ({} spans over {} sampled requests)",
-            report.obs_trace_events, report.obs_sampled_requests
-        );
-        std::process::exit(1);
-    }
-    if !report.fleet_identical {
-        eprintln!("FAIL: fleet serving diverged from serial execution");
-        std::process::exit(1);
-    }
-    if !report.fleet_locality_ok {
-        eprintln!("FAIL: a routed key bounced between replicas (consistent hashing broke)");
-        std::process::exit(1);
-    }
-    if report.fleet_hit_rate < report.fleet_single_hit_rate {
-        eprintln!(
-            "FAIL: fleet hit rate ({:.3}) fell below the single-node baseline ({:.3}) \
-             at the same total cache capacity",
-            report.fleet_hit_rate, report.fleet_single_hit_rate
-        );
-        std::process::exit(1);
-    }
-    // Throughput: with one worker thread the three replicas share a
-    // single core with the router, so beating the zero-I/O in-process
-    // serial replay is impossible by construction; the hard ≥-serial
-    // gate applies once the host can actually run replicas in
-    // parallel. A pathology floor always applies: losing 4x to serial
-    // means the router itself is broken, not the hardware.
-    if report.threads > 1 && report.fleet_vs_serial() < 1.0 {
-        eprintln!(
-            "FAIL: the routed fleet ({:.3}s) must not lose to one serial node ({:.3}s) \
-             on a multi-core host",
-            report.fleet_secs, report.serial_secs
-        );
-        std::process::exit(1);
-    }
-    if report.fleet_vs_serial() < 0.25 {
-        eprintln!(
-            "FAIL: the routed fleet ({:.3}s) lost more than 4x to one serial node \
-             ({:.3}s) — routing overhead is pathological",
-            report.fleet_secs, report.serial_secs
-        );
-        std::process::exit(1);
-    }
-    if report.fleet_errors > 0 {
-        eprintln!(
-            "FAIL: {} requests failed in the fleet replay (must be 0)",
-            report.fleet_errors
-        );
-        std::process::exit(1);
-    }
-    if !report.retrain_loop_ok() {
-        eprintln!(
-            "FAIL: the closed retrain loop broke a guarantee \
-             ({} promoted / {} rejected, head {:+.4}, holdout {:.4} vs {:.4}, \
-             entropy {:.3} vs floor {:.3}, swap {} served / {} failed, \
-             payloads identical: {})",
-            report.retrain_promoted,
-            report.retrain_rejected,
-            report.retrain_head_improvement(),
-            report.retrain_candidate_holdout_reward,
-            report.retrain_incumbent_holdout_reward,
-            report.retrain_candidate_entropy,
-            report.retrain_entropy_floor,
-            report.retrain_swap_served,
-            report.retrain_swap_failed,
-            report.retrain_identical
-        );
-        std::process::exit(1);
-    }
-    if !report.dyn_builtin_parity {
-        eprintln!("FAIL: registering a dynamic device perturbed built-in payloads");
-        std::process::exit(1);
-    }
-    if !report.dyn_recalibration_ok() {
-        eprintln!(
-            "FAIL: live calibration changed {}/{} calibration-keyed dynamic payloads \
-             (all must change, and the set must be non-empty)",
-            report.dyn_changed, report.dyn_expected_changed
-        );
-        std::process::exit(1);
-    }
-    if !report.dyn_others_identical {
-        eprintln!("FAIL: a live calibration swap changed a payload it must not touch");
-        std::process::exit(1);
-    }
-    if report.dyn_invalidated == 0 {
-        eprintln!("FAIL: the live calibration swap invalidated no cached entries");
-        std::process::exit(1);
-    }
-    if report.dyn_errors > 0 {
-        eprintln!(
-            "FAIL: {} requests failed across the calibration swap (must be 0)",
-            report.dyn_errors
-        );
-        std::process::exit(1);
-    }
+    println!("all {} gates passed", gates.len());
 }
 
 /// Parses the value following flag `--name`, printing the shared

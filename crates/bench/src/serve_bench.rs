@@ -1,77 +1,45 @@
-//! The `serve` throughput target: replay a synthetic traffic mix
-//! through the compilation service four ways — scheduler in serial
-//! mode, blocking batches on the rayon pool, the pipelined socket
-//! front end (real TCP on a loopback port, reader thread overlapping
-//! I/O with compute), and a *sharded* registry (policies keyed by
-//! `objective × device-class × width band`) against the monolithic
-//! baseline over a multi-device, width-skewed mix — verify every
-//! replay produces the same compilation payloads as its serial
-//! counterpart, and measure throughput, cache behavior, per-shard
-//! routing, and latency percentiles for `BENCH_serve.json`.
+//! The `serve` target: replay synthetic traffic through the compilation
+//! service in seven arms, write what they measure as `BENCH_serve.json`,
+//! and check every guarantee in [`GATES`] on that artifact.
 //!
-//! A fifth arm measures restart warmup: a never-restarted reference
-//! service persists its cache at drain, then a cold restart and a
-//! snapshot-warmed restart replay the same skewed mix — payloads must
-//! be byte-identical across all three, and the warmed restart's hit
-//! rate must beat the cold one's.
+//! [`run_serve_bench`] runs the arms in order. Each arm runs its replays
+//! and returns its block of the artifact:
 //!
-//! A sixth arm prices the observability surface: an all-distinct,
-//! unpinned, cold-cache mix (every request is a policy-inference miss)
-//! replayed through the queued front-end path (stage histograms,
-//! request ids, span sampling all live) with the global profiler and
-//! 1-in-N trace sampling on vs fully off, best-of-five cold rounds
-//! each. Payloads must be byte-identical — instrumentation must never
-//! leak into results — and the instrumented round's per-stage
-//! histograms must account for (nearly all of) the mean miss latency
-//! the responses themselves reported.
-//!
-//! A seventh arm scales out horizontally: the arm-1 mix streamed
-//! through a real `FleetRouter` fronting three in-process socket
-//! replicas, each owning a third of the single-node cache capacity so
-//! total capacity matches the single-node arms. Payloads must be
-//! byte-identical to the serial replay, consistent hashing must keep
-//! every routed key on exactly one replica, and the fleet's aggregate
-//! cache hit rate must not fall below the single-node pipelined
-//! baseline — the whole point of content-hashed routing is that
-//! splitting the cache three ways loses no locality.
-//!
-//! An eighth arm exercises the dynamic device registry: a runtime
-//! device spec is registered alongside the built-ins and the arm-1 mix
-//! is extended with requests pinned to it. The built-in prefix must be
-//! byte-identical to the arm-1 serial payloads (registering extra
-//! devices must not perturb anything), and a live calibration swap on
-//! the dynamic device mid-run must change exactly the
-//! calibration-keyed payloads pinned to it — every other payload stays
-//! byte-identical, with zero failed requests. This arm stays last: the
-//! calibration swap mutates the process-wide device registry.
-//!
-//! A ninth arm closes the training loop (it runs just *before* the
-//! dynamic-device arm, which must stay last): deliberately weak
-//! wildcard checkpoints serve a skewed, traffic-logged mix, the
-//! offline retrain flow builds a frequency-weighted curriculum from
-//! the logged head and fine-tunes the traffic-bearing shard with the
-//! action-diversity entropy bonus, and the promotion gate replays
-//! held-out logged traffic candidate-vs-incumbent — only a candidate
-//! no worse on held-out reward and strictly better on the logged head
-//! installs. The promoted checkpoint then swaps into the live service
-//! through the `reload()` path while worker threads keep the request
-//! stream flowing: zero failed requests across the swap, candidate
-//! rollout entropy at or above the collapse floor, and every
-//! post-swap answer byte-identical to a fresh serial service started
-//! from the promoted checkpoints.
+//! - `replay`, whose fields sit at the artifact's top level: the arm-1
+//!   mix served by the scheduler in serial mode, in blocking batches on
+//!   the rayon pool, and over the pipelined socket front end (real
+//!   loopback TCP, a reader thread overlapping I/O with compute).
+//! - `sharded`: a registry of policies keyed by `objective ×
+//!   device-class × width band` against the monolithic baseline over a
+//!   multi-device, width-skewed mix.
+//! - `restart`: a never-restarted service persists its cache at drain,
+//!   then a cold and a snapshot-warmed restart replay the same mix.
+//! - `observability`: an all-miss mix through the queued front-end path
+//!   with the global profiler and 1-in-N span sampling on vs off, and
+//!   the per-stage histograms reconciled against the reported latency.
+//! - `fleet`: the arm-1 mix through a `FleetRouter` over three socket
+//!   replicas that together hold the single node's cache capacity.
+//! - `retrain`: weak checkpoints serve a traffic-logged mix, the offline
+//!   retrain flow fine-tunes and gates a candidate, and `reload()` swaps
+//!   it in while workers keep requests flowing.
+//! - `dynamic_devices`: a runtime-registered device joins the arm-1 mix
+//!   and is live-calibrated between two replays.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qrc_predictor::task_seed;
+use qrc_benchgen::BenchmarkFamily;
+use qrc_circuit::qasm::to_qasm;
+use qrc_predictor::{task_seed, RewardKind, TrainedPredictor};
 use qrc_serve::{
     bind_ephemeral, head_of_distribution_counts, run_retrain, serve_socket, synthetic_mix,
-    CacheStatus, CompilationService, DeviceClass, FleetRouter, FrontendConfig, ModelRegistry,
-    QueuedLine, ReplicaStats, RetrainConfig, RouteCounts, RouterConfig, ServeRequest,
-    ServeResponse, ServiceConfig, ShardCounterSnapshot, ShardKey, ShutdownFlag, Stage,
-    TrafficConfig, WidthBand,
+    CacheStats, CacheStatus, CompilationService, DeviceClass, FleetRouter, FrontendConfig,
+    ModelRegistry, QueuedLine, RetrainConfig, RouterConfig, ServeRequest, ServeResponse,
+    ServiceConfig, ShardCounterSnapshot, ShardKey, ShutdownFlag, Stage, TrafficConfig, WidthBand,
 };
 use serde_json::Value;
 
@@ -87,7 +55,7 @@ pub struct ServeBenchSettings {
     /// Preferred listen address for the pipelined socket arm. When the
     /// port is busy the bench retries on an ephemeral port instead of
     /// failing (or silently measuring nothing); the actually bound
-    /// port lands in the report.
+    /// port lands in the artifact.
     pub listen: Option<String>,
 }
 
@@ -101,486 +69,179 @@ impl Default for ServeBenchSettings {
     }
 }
 
-/// Per-replica outcome of the fleet arm: the router's view (routing
-/// counters) joined with the replica's own cache counters.
-#[derive(Debug, Clone)]
-pub struct FleetReplicaStat {
-    /// The replica's loopback address.
-    pub addr: String,
-    /// Requests the router consistently hashed onto this replica.
-    pub routed: u64,
-    /// Responses the replica actually returned through the router.
-    pub completed: u64,
-    /// In-flight requests re-forwarded here after another replica's
-    /// ejection (zero in the steady-state bench).
-    pub rerouted: u64,
-    /// Times the router ejected this replica (zero in the bench).
-    pub ejections: u64,
-    /// Cache hits this replica's service recorded during the replay.
-    pub hits: u64,
-    /// Cache misses this replica's service recorded during the replay.
-    pub misses: u64,
-}
-
-/// Measured results of one serve benchmark run.
-#[derive(Debug, Clone)]
-pub struct ServeBenchReport {
-    /// Requests replayed per pass.
-    pub requests: usize,
-    /// Requests per scheduled batch.
-    pub batch_size: usize,
-    /// Worker threads available to the batched pass.
-    pub threads: usize,
-    /// Seconds to train the three monolithic models (once, shared).
-    pub train_secs: f64,
-    /// Wall-clock of the serial replay (seconds).
-    pub serial_secs: f64,
-    /// Wall-clock of the blocking batched replay (seconds): batches are
-    /// handed to the scheduler synchronously, so I/O (here: request
-    /// assembly) and compute never overlap.
-    pub batched_secs: f64,
-    /// Wall-clock of the pipelined socket replay (seconds): NDJSON over
-    /// loopback TCP, a reader thread filling the bounded queue while
-    /// the scheduler drains it.
-    pub pipelined_secs: f64,
-    /// The loopback port the pipelined arm actually bound (the
-    /// requested one, or the ephemeral fallback when it was busy).
-    pub pipelined_port: u16,
-    /// `true` iff serial and blocking-batched replays produced
-    /// byte-identical response bodies.
-    pub identical: bool,
-    /// `true` iff the pipelined socket replay produced the same
-    /// compilation payloads as the serial replay (cache statuses are
-    /// excluded: they legitimately depend on batch boundaries, which
-    /// timing decides on the pipelined path).
-    pub pipelined_identical: bool,
-    /// Cache hits during the batched replay.
-    pub hits: u64,
-    /// Cache misses during the batched replay.
-    pub misses: u64,
-    /// Cache hit rate of the batched replay.
-    pub hit_rate: f64,
-    /// Error responses during the batched replay.
-    pub errors: u64,
-    /// Median per-request latency of the batched replay (µs).
-    pub p50_us: u64,
-    /// 99th-percentile per-request latency of the batched replay (µs).
-    pub p99_us: u64,
-    /// 99.9th-percentile per-request latency of the batched replay (µs).
-    pub p999_us: u64,
-    /// Fastest per-request latency of the batched replay (µs).
-    pub min_us: u64,
-    /// Slowest per-request latency of the batched replay (µs).
-    pub max_us: u64,
-    /// Seconds to train the extra (non-wildcard) shards on their
-    /// scoped benchmark slices.
-    pub shard_train_secs: f64,
-    /// Requests in the sharded arm's multi-device, width-skewed mix.
-    pub sharded_requests: usize,
-    /// Wall-clock of the sharded registry's per-request serial replay.
-    pub sharded_serial_secs: f64,
-    /// Wall-clock of the sharded registry's batched replay.
-    pub sharded_secs: f64,
-    /// Wall-clock of the monolithic registry's batched replay over the
-    /// *same* sharded-arm mix (the apples-to-apples baseline).
-    pub monolithic_secs: f64,
-    /// `true` iff the sharded batched replay produced the same
-    /// compilation payloads as per-request serial compilation on the
-    /// same sharded registry.
-    pub sharded_identical: bool,
-    /// Per-shard routing stats of the sharded batched replay.
-    pub shard_stats: Vec<ShardCounterSnapshot>,
-    /// Requests per routing fallback level in the sharded replay.
-    pub route_counts: RouteCounts,
-    /// Requests replayed per restart-warmup pass (the skewed mix).
-    pub restart_requests: usize,
-    /// Entries the never-restarted service persisted at drain.
-    pub snapshot_entries: u64,
-    /// Wall-clock of the cold-restart replay (fresh cache, seconds).
-    pub cold_restart_secs: f64,
-    /// Wall-clock of the warmed-restart replay (snapshot imported
-    /// before the first request, seconds).
-    pub warmed_restart_secs: f64,
-    /// Cache hit rate of the cold restart (in-mix repeats only).
-    pub cold_hit_rate: f64,
-    /// Cache hits/misses of the cold restart.
-    pub cold_hits: u64,
-    /// Cache misses of the cold restart.
-    pub cold_misses: u64,
-    /// Cache hit rate of the warmed restart.
-    pub warmed_hit_rate: f64,
-    /// Cache hits/misses of the warmed restart.
-    pub warmed_hits: u64,
-    /// Cache misses of the warmed restart.
-    pub warmed_misses: u64,
-    /// Of the warmed restart's hits, those served from pre-warmed
-    /// (snapshot-imported) entries.
-    pub warm_hits: u64,
-    /// `true` iff the never-restarted, cold-restarted, and
-    /// warmed-restarted replays produced byte-identical compilation
-    /// payloads for every request.
-    pub restart_identical: bool,
-    /// Requests in the observability arm (an all-distinct, unpinned
-    /// mix replayed cold through the queued front-end path, so every
-    /// request is a miss and stage histograms, request ids, and span
-    /// sampling are all exercised).
-    pub obs_requests: usize,
-    /// Trace sampling rate of the instrumented replay (1-in-N).
-    pub obs_trace_sample: u64,
-    /// Best-of-five cold wall-clock with the observability surface off
-    /// (profiler and tracing disabled; seconds).
-    pub obs_disabled_secs: f64,
-    /// Best-of-five cold wall-clock with the full observability
-    /// surface on (global profiler + 1-in-N span sampling; seconds).
-    pub obs_enabled_secs: f64,
-    /// `true` iff the instrumented and uninstrumented replays produced
-    /// byte-identical compilation payloads.
-    pub obs_identical: bool,
-    /// Requests the instrumented replay's trace sink sampled.
-    pub obs_sampled_requests: u64,
-    /// Spans those sampled requests produced.
-    pub obs_trace_events: u64,
-    /// `true` iff the sink rendered a well-formed Chrome trace: a
-    /// non-empty `traceEvents` array of complete (`"ph":"X"`) events.
-    pub obs_trace_valid: bool,
-    /// Mean reported latency of the instrumented replay's cache misses
-    /// (µs) — what the per-stage breakdown must reconstruct.
-    pub obs_mean_miss_us: f64,
-    /// Mean per-request parse time from the stage histograms (µs).
-    pub obs_parse_mean_us: f64,
-    /// Mean per-request admission time from the stage histograms (µs).
-    pub obs_admission_mean_us: f64,
-    /// Mean per-miss compute time from the stage histograms (µs).
-    pub obs_compute_mean_us: f64,
-    /// Profiler-attributed time (rollout ticks + named compute
-    /// sections) per miss (µs) — the drill-down under `compute`.
-    pub obs_profile_mean_us: f64,
-    /// Socket replicas behind the fleet arm's router.
-    pub fleet_replicas: usize,
-    /// Requests streamed through the router (the arm-1 mix).
-    pub fleet_requests: usize,
-    /// Wall-clock of the routed fleet replay (seconds).
-    pub fleet_secs: f64,
-    /// `true` iff every fleet response's compilation payload was
-    /// byte-identical to the serial replay's answer for the same
-    /// request id.
-    pub fleet_identical: bool,
-    /// Cache hits summed across all replicas.
-    pub fleet_hits: u64,
-    /// Cache misses summed across all replicas.
-    pub fleet_misses: u64,
-    /// Aggregate effective hit rate: the fraction of requests the
-    /// fleet answered *without* a fresh policy inference
-    /// (`1 − misses/requests`, so cache hits and in-batch coalescing
-    /// both count — which of the two a repeat becomes depends only on
-    /// batch-boundary timing, not on cache locality).
-    pub fleet_hit_rate: f64,
-    /// The single-node pipelined arm's effective hit rate over the
-    /// same mix and the same total cache capacity — the locality
-    /// baseline the fleet must not fall below. A key that bounced
-    /// between replicas would miss (and infer) more than once and
-    /// drag the fleet below this line.
-    pub fleet_single_hit_rate: f64,
-    /// `true` iff every routed key landed on exactly one replica for
-    /// the whole replay (consistent hashing held; nothing bounced).
-    pub fleet_locality_ok: bool,
-    /// Error responses across the fleet replay (router-synthesized or
-    /// replica-returned; must be 0).
-    pub fleet_errors: u64,
-    /// In-flight requests re-forwarded after an ejection (0 here: no
-    /// replica dies in the bench; the kill path is CI's job).
-    pub fleet_rerouted: u64,
-    /// Requests that fell back to round-robin because no routing key
-    /// could be extracted (0: the synthetic mix is all well-formed).
-    pub fleet_round_robin: u64,
-    /// Per-replica routing and cache counters.
-    pub fleet_stats: Vec<FleetReplicaStat>,
-    /// Logged requests the closed-loop arm served (and retrained from).
-    pub retrain_requests: usize,
-    /// Shards the retrain flow considered (registry keys, or the
-    /// configured restriction).
-    pub retrain_shards_considered: usize,
-    /// Shards skipped for thin traffic (below the request floor).
-    pub retrain_skipped: usize,
-    /// Candidate checkpoints fine-tuned and gated.
-    pub retrain_candidates: usize,
-    /// Candidates the gate promoted into the live directory (the arm
-    /// requires exactly 1 — the traffic-bearing wildcard shard).
-    pub retrain_promoted: usize,
-    /// Candidates the gate quarantined (must be 0 here: weak
-    /// incumbents leave real headroom).
-    pub retrain_rejected: usize,
-    /// Incumbent's frequency-weighted mean reward on the logged head.
-    pub retrain_incumbent_head_reward: f64,
-    /// Promoted candidate's reward on the same head — the gate
-    /// requires this strictly above the incumbent's.
-    pub retrain_candidate_head_reward: f64,
-    /// Incumbent's weighted mean reward on the held-out log slice.
-    pub retrain_incumbent_holdout_reward: f64,
-    /// Candidate's held-out reward — the gate requires no regression.
-    pub retrain_candidate_holdout_reward: f64,
-    /// Minimum rollout entropy (nats) a candidate may promote with.
-    pub retrain_entropy_floor: f64,
-    /// Promoted candidate's rollout entropy over the curriculum —
-    /// reported so action-diversity is auditable, must be ≥ the floor.
-    pub retrain_candidate_entropy: f64,
-    /// Wall-clock of the offline retrain (curriculum + fine-tune +
-    /// gate replay), seconds.
-    pub retrain_secs: f64,
-    /// Requests the load workers served across the live swap (> 0, or
-    /// the swap was not exercised under load).
-    pub retrain_swap_served: u64,
-    /// Failed requests across the live swap (must be 0).
-    pub retrain_swap_failed: u64,
-    /// `true` iff every post-swap answer was byte-identical to a fresh
-    /// *serial* service started from the promoted checkpoints — the
-    /// generation-stamped cache keys left nothing stale behind.
-    pub retrain_identical: bool,
-    /// Mean served reward over the distinct logged circuits before the
-    /// swap (the weak incumbents' answers).
-    pub retrain_before_mean_reward: f64,
-    /// Mean served reward over the same circuits after the swap.
-    pub retrain_after_mean_reward: f64,
-    /// Requests in the dynamic-device arm's mix (the arm-1 mix plus
-    /// requests pinned to the runtime-registered device).
-    pub dyn_requests: usize,
-    /// Name of the runtime-registered device the arm pins.
-    pub dyn_device: String,
-    /// Structural seed tag of the dynamic device (built-ins own 1–5;
-    /// dynamic devices must land strictly above).
-    pub dyn_seed_tag: u64,
-    /// Wall-clock of the pre-calibration replay (seconds).
-    pub dyn_before_secs: f64,
-    /// Wall-clock of the post-calibration replay (seconds).
-    pub dyn_after_secs: f64,
-    /// `true` iff the built-in prefix of the mix produced payloads
-    /// byte-identical to the arm-1 serial replay — registering dynamic
-    /// devices must not perturb built-in answers.
-    pub dyn_builtin_parity: bool,
-    /// Calibration generation the live swap produced (0 means
-    /// never-swapped, so this is ≥ 1).
-    pub dyn_calibration_generation: u64,
-    /// Cached entries the live swap invalidated (the dynamic device's
-    /// calibration-keyed results, and nothing else).
-    pub dyn_invalidated: u64,
-    /// Dynamic-pinned, calibration-dependent payloads (calibration-
-    /// keyed objective AND a nonzero-reward compile) whose bytes
-    /// changed after the swap.
-    pub dyn_changed: usize,
-    /// Dynamic-pinned, calibration-dependent payloads in the mix —
-    /// every one of them must change. (Zero-reward rollouts render the
-    /// same body under any calibration and are excluded.)
-    pub dyn_expected_changed: usize,
-    /// `true` iff every payload outside that set was byte-identical
-    /// across the swap.
-    pub dyn_others_identical: bool,
-    /// Error responses across both dynamic-arm replays (must be 0: a
-    /// calibration swap never fails a request).
-    pub dyn_errors: u64,
-}
-
-impl ServeBenchReport {
-    /// Requests per second of the batched pass.
-    pub fn requests_per_sec(&self) -> f64 {
-        self.requests as f64 / self.batched_secs.max(1e-12)
-    }
-
-    /// Requests per second of the serial pass.
-    pub fn requests_per_sec_serial(&self) -> f64 {
-        self.requests as f64 / self.serial_secs.max(1e-12)
-    }
-
-    /// Requests per second of the pipelined socket pass.
-    pub fn requests_per_sec_pipelined(&self) -> f64 {
-        self.requests as f64 / self.pipelined_secs.max(1e-12)
-    }
-
-    /// Serial wall-clock divided by batched wall-clock.
-    pub fn speedup(&self) -> f64 {
-        self.serial_secs / self.batched_secs.max(1e-12)
-    }
-
-    /// Blocking-batched wall-clock divided by pipelined wall-clock:
-    /// the I/O/compute overlap win of the socket front end.
-    pub fn pipelined_speedup(&self) -> f64 {
-        self.batched_secs / self.pipelined_secs.max(1e-12)
-    }
-
-    /// Requests per second of the sharded batched pass.
-    pub fn requests_per_sec_sharded(&self) -> f64 {
-        self.sharded_requests as f64 / self.sharded_secs.max(1e-12)
-    }
-
-    /// Monolithic wall-clock divided by sharded wall-clock over the
-    /// same mix: > 1 means the sharded fleet answered faster.
-    pub fn sharded_vs_monolithic(&self) -> f64 {
-        self.monolithic_secs / self.sharded_secs.max(1e-12)
-    }
-
-    /// Cold-restart wall-clock divided by warmed-restart wall-clock:
-    /// what pre-warming the cache from a snapshot bought.
-    pub fn warmed_vs_cold(&self) -> f64 {
-        self.cold_restart_secs / self.warmed_restart_secs.max(1e-12)
-    }
-
-    /// Instrumented wall-clock over uninstrumented, minus one: the
-    /// throughput cost of leaving the full observability surface on.
-    /// Negative values are measurement noise (the surface is cheaper
-    /// than run-to-run variance).
-    pub fn obs_overhead_frac(&self) -> f64 {
-        self.obs_enabled_secs / self.obs_disabled_secs.max(1e-12) - 1.0
-    }
-
-    /// Fraction of the mean reported miss latency the per-stage
-    /// histograms account for (parse + admission + compute; queue wait
-    /// is zero on this path).
-    pub fn obs_breakdown_frac(&self) -> f64 {
-        (self.obs_parse_mean_us + self.obs_admission_mean_us + self.obs_compute_mean_us)
-            / self.obs_mean_miss_us.max(1e-12)
-    }
-
-    /// Requests per second of the routed fleet replay.
-    pub fn requests_per_sec_fleet(&self) -> f64 {
-        self.fleet_requests as f64 / self.fleet_secs.max(1e-12)
-    }
-
-    /// Serial wall-clock divided by fleet wall-clock: what three
-    /// routed replicas bought over one serial node on the same mix.
-    pub fn fleet_vs_serial(&self) -> f64 {
-        self.serial_secs / self.fleet_secs.max(1e-12)
-    }
-
-    /// `true` iff the live calibration swap changed every
-    /// calibration-dependent payload pinned to the dynamic device (and
-    /// the set was non-empty to begin with).
-    pub fn dyn_recalibration_ok(&self) -> bool {
-        self.dyn_expected_changed > 0 && self.dyn_changed == self.dyn_expected_changed
-    }
-
-    /// Reward the promoted candidate gained over the incumbent on the
-    /// logged head — the quantity the promotion gate requires to be
-    /// strictly positive.
-    pub fn retrain_head_improvement(&self) -> f64 {
-        self.retrain_candidate_head_reward - self.retrain_incumbent_head_reward
-    }
-
-    /// `true` iff the closed loop did what it promises: a promotion
-    /// happened, nothing was quarantined, the head strictly improved,
-    /// held-out reward did not regress, the candidate kept action
-    /// diversity, the live swap failed zero requests while actually
-    /// carrying load, and post-swap answers were byte-identical to
-    /// fresh serial compilation under the new checkpoint.
-    pub fn retrain_loop_ok(&self) -> bool {
-        self.retrain_promoted == 1
-            && self.retrain_rejected == 0
-            && self.retrain_head_improvement() > 0.0
-            && self.retrain_candidate_holdout_reward >= self.retrain_incumbent_holdout_reward
-            && self.retrain_candidate_entropy >= self.retrain_entropy_floor
-            && self.retrain_swap_failed == 0
-            && self.retrain_swap_served > 0
-            && self.retrain_identical
-    }
-}
-
-/// The extra shards the sharded arm trains on scoped suite slices: a
-/// narrow-band specialist per objective, plus one device-class
-/// specialist to exercise device routing.
-pub fn bench_shard_keys() -> Vec<ShardKey> {
-    let mut keys: Vec<ShardKey> = qrc_predictor::RewardKind::ALL
-        .into_iter()
-        .map(|objective| ShardKey {
-            objective,
-            device_class: DeviceClass::Any,
-            width_band: WidthBand::Narrow,
-        })
-        .collect();
-    keys.push(ShardKey {
-        objective: qrc_predictor::RewardKind::ExpectedFidelity,
-        device_class: DeviceClass::Class(qrc_device::Platform::Ionq),
-        width_band: WidthBand::Any,
-    });
-    keys
-}
-
-/// Trains the models, replays the mix serially, batched, and through
-/// the pipelined socket, then runs the sharded-vs-monolithic arm over
-/// a multi-device, width-skewed mix, and compares the response
-/// streams.
-pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> ServeBenchReport {
+/// Trains the models, then runs every arm in order and returns each
+/// arm's block of `BENCH_serve.json` under its name
+/// ([`crate::report::bench_serve_value`] assembles the artifact).
+pub fn run_serve_bench(
+    settings: &EvalSettings,
+    serve: &ServeBenchSettings,
+) -> Vec<(&'static str, Value)> {
     let suite = qrc_benchgen::paper_suite(2, settings.max_qubits);
-    let train_start = Instant::now();
+    let start = Instant::now();
     let models = train_models(&suite, settings);
-    let train_secs = train_start.elapsed().as_secs_f64();
-
-    let traffic = synthetic_mix(&TrafficConfig {
+    let train_secs = start.elapsed().as_secs_f64();
+    let mix = synthetic_mix(&TrafficConfig {
         requests: serve.requests,
         min_qubits: 2,
         max_qubits: settings.max_qubits,
         seed: settings.seed,
         ..TrafficConfig::default()
     });
-    let service_config = |parallel: bool| ServiceConfig {
-        parallel,
-        seed: settings.seed,
-        verbose: false,
-        ..ServiceConfig::default()
-    };
-    let replay = |registry: ModelRegistry,
-                  parallel: bool,
-                  traffic: &[ServeRequest],
-                  chunk: usize|
-     -> (Vec<ServeResponse>, f64, CompilationService) {
-        let service = CompilationService::with_registry(registry, &service_config(parallel));
-        let start = Instant::now();
-        let mut responses = Vec::with_capacity(traffic.len());
-        for chunk in traffic.chunks(chunk.max(1)) {
-            responses.extend(service.handle_batch(chunk));
-        }
-        (responses, start.elapsed().as_secs_f64(), service)
-    };
+    let (replay, serial, serial_secs, pipelined_misses) =
+        replay_arm(settings, serve, &models, &mix, train_secs);
+    vec![
+        ("replay", replay),
+        ("sharded", sharded_arm(settings, serve, &suite, &models)),
+        ("restart", restart_arm(settings, serve, &models, &mix)),
+        ("observability", observability_arm(settings, serve, &models)),
+        (
+            "fleet",
+            fleet_arm(
+                settings,
+                serve,
+                &models,
+                &mix,
+                &serial,
+                serial_secs,
+                pipelined_misses,
+            ),
+        ),
+        ("retrain", retrain_arm(settings, serve)),
+        // Last: its calibration swap changes the process-wide device
+        // registry, which no arm after it may depend on.
+        (
+            "dynamic_devices",
+            dynamic_devices_arm(settings, serve, &models, &mix, &serial),
+        ),
+    ]
+}
 
-    let (serial_responses, serial_secs, _) = replay(
-        ModelRegistry::from_models(models.clone()),
-        false,
-        &traffic,
-        serve.batch_size,
-    );
-    let (batched_responses, batched_secs, batched_service) = replay(
-        ModelRegistry::from_models(models.clone()),
-        true,
-        &traffic,
-        serve.batch_size,
-    );
-    let service = Arc::new(CompilationService::with_registry(
-        ModelRegistry::from_models(models.clone()),
-        &service_config(true),
-    ));
-    let (pipelined_payloads, pipelined_secs, pipelined_port) = replay_pipelined(
-        &service,
-        &traffic,
-        serve.batch_size,
-        serve.listen.as_deref(),
-    );
+/// The replay arm: the arm-1 mix served serially, in blocking batches
+/// (request assembly and compute never overlap), and over the pipelined
+/// socket. Returns its top-level fields, the serial answers and
+/// wall-clock later arms compare against, and the pipelined node's
+/// misses (the fleet arm's locality baseline).
+fn replay_arm(
+    settings: &EvalSettings,
+    serve: &ServeBenchSettings,
+    models: &[TrainedPredictor],
+    mix: &[ServeRequest],
+    train_secs: f64,
+) -> (Value, Vec<ServeResponse>, f64, u64) {
+    let monolithic = || ModelRegistry::from_models(models.to_vec());
+    let serial_service = service(monolithic(), settings.seed, false);
+    let (serial, serial_secs) = replay(mix, serve.batch_size, |chunk| {
+        serial_service.handle_batch(chunk)
+    });
+    let batched_service = service(monolithic(), settings.seed, true);
+    let (batched, batched_secs) = replay(mix, serve.batch_size, |chunk| {
+        batched_service.handle_batch(chunk)
+    });
+    let pipelined_service = Arc::new(service(monolithic(), settings.seed, true));
+    let listener = bind_ephemeral(serve.listen.as_deref()).expect("bind the pipelined arm's port");
+    // Connect to the address actually bound: `--listen` may name a
+    // non-loopback interface.
+    let addr = listener.local_addr().expect("pipelined arm address");
+    let (_, server) = spawn_server(&pipelined_service, listener, serve.batch_size, mix.len());
+    let (pipelined, pipelined_secs) = replay_socket(addr, mix);
+    server
+        .join()
+        .expect("serve thread panicked")
+        .expect("socket front end failed");
 
-    let identical = serial_responses.len() == batched_responses.len()
-        && serial_responses
+    let batched_identical = serial.len() == batched.len()
+        && serial
             .iter()
-            .zip(batched_responses.iter())
+            .zip(&batched)
             .all(|(a, b)| a.body_value() == b.body_value());
     // The pipelined path cuts the stream into batches by arrival
     // timing, so cache statuses differ run to run; the compilation
     // payloads must not.
-    let pipelined_identical = serial_responses.len() == pipelined_payloads.len()
-        && serial_responses
+    let pipelined_identical = serial.len() == pipelined.len()
+        && serial
             .iter()
-            .zip(pipelined_payloads.iter())
+            .zip(&pipelined)
             .all(|(a, b)| a.payload_value() == *b);
+    let n = mix.len() as f64;
+    let metrics = batched_service.metrics();
+    let block = Value::object(vec![
+        ("requests", Value::from(mix.len())),
+        ("batch_size", Value::from(serve.batch_size)),
+        ("threads", Value::from(rayon::current_num_threads())),
+        (
+            "timings",
+            Value::object(vec![
+                ("train_secs", Value::from(train_secs)),
+                ("replay_serial_secs", Value::from(serial_secs)),
+                ("replay_batched_secs", Value::from(batched_secs)),
+                ("replay_pipelined_secs", Value::from(pipelined_secs)),
+            ]),
+        ),
+        (
+            "throughput",
+            Value::object(vec![
+                (
+                    "requests_per_sec_serial",
+                    Value::from(ratio(n, serial_secs)),
+                ),
+                (
+                    "requests_per_sec_batched",
+                    Value::from(ratio(n, batched_secs)),
+                ),
+                (
+                    "requests_per_sec_pipelined",
+                    Value::from(ratio(n, pipelined_secs)),
+                ),
+                (
+                    "speedup_vs_serial",
+                    Value::from(ratio(serial_secs, batched_secs)),
+                ),
+                (
+                    "pipelined_vs_batched",
+                    Value::from(ratio(batched_secs, pipelined_secs)),
+                ),
+            ]),
+        ),
+        (
+            "cache",
+            Value::object(vec![
+                ("hits", Value::from(metrics.cache.hits)),
+                ("misses", Value::from(metrics.cache.misses)),
+                ("hit_rate", Value::from(metrics.cache.hit_rate())),
+            ]),
+        ),
+        (
+            "latency_us",
+            Value::object(vec![
+                ("p50", Value::from(metrics.p50_us)),
+                ("p99", Value::from(metrics.p99_us)),
+                ("p999", Value::from(metrics.p999_us)),
+                ("min", Value::from(metrics.min_us)),
+                ("max", Value::from(metrics.max_us)),
+            ]),
+        ),
+        ("errors", Value::from(metrics.errors)),
+        ("batched_equals_serial", Value::from(batched_identical)),
+        ("pipelined_equals_serial", Value::from(pipelined_identical)),
+        ("pipelined_port", Value::from(u64::from(addr.port()))),
+    ]);
+    let pipelined_misses = pipelined_service.metrics().cache.misses;
+    (block, serial, serial_secs, pipelined_misses)
+}
 
-    // --- The sharded arm -------------------------------------------------
-    // A multi-device, width-skewed mix: device pins are common and
-    // narrow circuits dominate, so the specialized shards see the
-    // slice they were trained for.
-    let sharded_traffic = synthetic_mix(&TrafficConfig {
+/// The sharded arm: narrow-band specialists per objective plus an
+/// IonQ-class specialist, trained on scoped suite slices, answer a
+/// multi-device, width-skewed mix; the monolithic models answer the
+/// same mix as the baseline.
+fn sharded_arm(
+    settings: &EvalSettings,
+    serve: &ServeBenchSettings,
+    suite: &[qrc_circuit::QuantumCircuit],
+    models: &[TrainedPredictor],
+) -> Value {
+    // Device pins are common and narrow circuits dominate, so the
+    // specialized shards see the slice they were trained for.
+    let mix = synthetic_mix(&TrafficConfig {
         requests: serve.requests,
         min_qubits: 2,
         max_qubits: settings.max_qubits,
@@ -589,375 +250,569 @@ pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> S
         narrow_fraction: 0.5,
         ..TrafficConfig::default()
     });
-    let shard_train_start = Instant::now();
-    let extra_shards = train_bench_shards(&suite, settings);
-    let shard_train_secs = shard_train_start.elapsed().as_secs_f64();
-    let sharded_registry = || {
-        let mut shards: Vec<(ShardKey, qrc_predictor::TrainedPredictor)> = models
+    let start = Instant::now();
+    let extra = train_bench_shards(suite, settings);
+    let train_extra_secs = start.elapsed().as_secs_f64();
+    let sharded = || {
+        let mut shards: Vec<(ShardKey, TrainedPredictor)> = models
             .iter()
             .map(|m| (ShardKey::wildcard(m.reward()), m.clone()))
             .collect();
-        shards.extend(extra_shards.clone());
+        shards.extend(extra.clone());
         ModelRegistry::from_shards(shards)
     };
     // Per-request serial compilation on the sharded registry is the
     // routing-correctness baseline: chunk size 1, serial scheduler.
-    let (sharded_serial, sharded_serial_secs, _) =
-        replay(sharded_registry(), false, &sharded_traffic, 1);
-    let (sharded_batched, sharded_secs, sharded_service) =
-        replay(sharded_registry(), true, &sharded_traffic, serve.batch_size);
-    // The monolithic baseline answers the same mix with wildcard-only
-    // routing.
-    let (_, monolithic_secs, _) = replay(
-        ModelRegistry::from_models(models.clone()),
+    let serial_service = service(sharded(), settings.seed, false);
+    let (serial, serial_secs) = replay(&mix, 1, |chunk| serial_service.handle_batch(chunk));
+    let sharded_service = service(sharded(), settings.seed, true);
+    let (batched, batched_secs) = replay(&mix, serve.batch_size, |chunk| {
+        sharded_service.handle_batch(chunk)
+    });
+    let monolithic = service(
+        ModelRegistry::from_models(models.to_vec()),
+        settings.seed,
         true,
-        &sharded_traffic,
-        serve.batch_size,
     );
-    // Chunk sizes differ between the two sharded replays, so cache
-    // statuses legitimately differ (dup-in-batch coalesces vs hits);
-    // the compilation payloads — including the shard echo — must not.
-    let sharded_identical = sharded_serial.len() == sharded_batched.len()
-        && sharded_serial
-            .iter()
-            .zip(sharded_batched.iter())
-            .all(|(a, b)| a.payload_value() == b.payload_value());
-    let sharded_metrics = sharded_service.metrics();
+    let (_, monolithic_secs) = replay(&mix, serve.batch_size, |chunk| {
+        monolithic.handle_batch(chunk)
+    });
+    let metrics = sharded_service.metrics();
+    Value::object(vec![
+        ("requests", Value::from(mix.len())),
+        ("train_extra_secs", Value::from(train_extra_secs)),
+        ("replay_serial_secs", Value::from(serial_secs)),
+        ("replay_batched_secs", Value::from(batched_secs)),
+        ("monolithic_batched_secs", Value::from(monolithic_secs)),
+        (
+            "requests_per_sec",
+            Value::from(ratio(mix.len() as f64, batched_secs)),
+        ),
+        (
+            "vs_monolithic",
+            Value::from(ratio(monolithic_secs, batched_secs)),
+        ),
+        // Chunk sizes differ between the two replays, so cache statuses
+        // legitimately differ (in-batch coalescing vs hits); the
+        // payloads, shard echo included, must not.
+        (
+            "sharded_equals_serial",
+            Value::from(same_payloads(&serial, &batched)),
+        ),
+        ("routes", metrics.routes.to_value()),
+        (
+            "shards",
+            Value::Array(
+                metrics
+                    .shards
+                    .iter()
+                    .map(ShardCounterSnapshot::to_value)
+                    .collect(),
+            ),
+        ),
+    ])
+}
 
-    // --- The restart-warmup arm ------------------------------------------
-    // Three disk-backed services over the same skewed mix: a
-    // never-restarted reference (whose drain persists the cache), a
-    // cold restart (same checkpoints, empty cache), and a warmed
-    // restart (snapshot imported before the first request). The warmed
-    // server must answer byte-identically at a strictly higher hit
-    // rate — the whole point of cache persistence.
-    let restart_dir =
-        std::env::temp_dir().join(format!("qrc_serve_bench_restart_{}", std::process::id()));
-    std::fs::remove_dir_all(&restart_dir).ok();
-    std::fs::create_dir_all(&restart_dir).expect("create restart-arm models dir");
-    for model in &models {
+/// Trains the sharded arm's extra shards (a narrow-band specialist per
+/// objective, plus one device-class specialist to exercise device
+/// routing) on their scoped suite slices, each with a shard-tag-mixed
+/// seed (the derivation [`ModelRegistry::ensure_with_shards`] uses for
+/// checkpoints).
+fn train_bench_shards(
+    suite: &[qrc_circuit::QuantumCircuit],
+    settings: &EvalSettings,
+) -> Vec<(ShardKey, TrainedPredictor)> {
+    let narrow = RewardKind::ALL.into_iter().map(|objective| ShardKey {
+        objective,
+        device_class: DeviceClass::Any,
+        width_band: WidthBand::Narrow,
+    });
+    let ionq = ShardKey {
+        objective: RewardKind::ExpectedFidelity,
+        device_class: DeviceClass::Class(qrc_device::Platform::Ionq),
+        width_band: WidthBand::Any,
+    };
+    narrow
+        .chain([ionq])
+        .map(|key| {
+            if settings.verbose {
+                eprintln!("training shard `{key}` on its scoped slice…");
+            }
+            let mut config = qrc_predictor::PredictorConfig::new(key.objective, settings.timesteps);
+            config.seed = task_seed(settings.seed, key.tag());
+            config.step_penalty = settings.step_penalty;
+            let model = qrc_predictor::train(key.suite_slice(suite), &config);
+            (key, model)
+        })
+        .collect()
+}
+
+/// The restart-warmup arm: three disk-backed services over the arm-1
+/// mix. A never-restarted reference persists its cache, then a cold
+/// restart (same checkpoints, empty cache) and a warmed restart
+/// (snapshot imported before the first request) replay the mix.
+fn restart_arm(
+    settings: &EvalSettings,
+    serve: &ServeBenchSettings,
+    models: &[TrainedPredictor],
+    mix: &[ServeRequest],
+) -> Value {
+    let dir = std::env::temp_dir().join(format!("qrc_serve_bench_restart_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create restart-arm models dir");
+    for model in models {
         model
             .save(&ModelRegistry::model_path(
-                &restart_dir,
+                &dir,
                 ShardKey::wildcard(model.reward()),
             ))
             .expect("save restart-arm checkpoint");
     }
-    let disk_config = ServiceConfig {
-        models_dir: restart_dir.clone(),
+    let config = ServiceConfig {
+        models_dir: dir.clone(),
         seed: settings.seed,
         verbose: false,
         ..ServiceConfig::default()
     };
-    let replay_disk = |service: &CompilationService| -> (Vec<Value>, f64) {
-        let start = Instant::now();
-        let mut payloads = Vec::with_capacity(traffic.len());
-        for chunk in traffic.chunks(serve.batch_size.max(1)) {
-            payloads.extend(
-                service
-                    .handle_batch(chunk)
-                    .iter()
-                    .map(ServeResponse::payload_value),
-            );
-        }
-        (payloads, start.elapsed().as_secs_f64())
-    };
+    let never = CompilationService::start(&config).expect("start never-restarted service");
+    let (reference, _) = replay(mix, serve.batch_size, |chunk| never.handle_batch(chunk));
+    let snapshot = never.write_snapshot().expect("snapshot the primed cache");
+    drop(never);
 
-    let never_restarted =
-        CompilationService::start(&disk_config).expect("start never-restarted service");
-    let (reference_payloads, _) = replay_disk(&never_restarted);
-    let snapshot = never_restarted
-        .write_snapshot()
-        .expect("snapshot the primed cache");
-    drop(never_restarted);
-
-    let cold = CompilationService::start(&disk_config).expect("start cold-restart service");
-    let (cold_payloads, cold_restart_secs) = replay_disk(&cold);
-    let cold_cache = cold.metrics().cache;
-
-    let warmed = CompilationService::start(&disk_config).expect("start warmed-restart service");
+    let cold = CompilationService::start(&config).expect("start cold-restart service");
+    let (cold_answers, cold_secs) = replay(mix, serve.batch_size, |chunk| cold.handle_batch(chunk));
+    let warmed = CompilationService::start(&config).expect("start warmed-restart service");
     warmed.load_snapshot().expect("import the cache snapshot");
     warmed.finish_warmup();
-    let (warmed_payloads, warmed_restart_secs) = replay_disk(&warmed);
+    let (warmed_answers, warmed_secs) =
+        replay(mix, serve.batch_size, |chunk| warmed.handle_batch(chunk));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let counters = |secs: f64, cache: &CacheStats| {
+        vec![
+            ("replay_secs", Value::from(secs)),
+            ("hits", Value::from(cache.hits)),
+            ("misses", Value::from(cache.misses)),
+            ("hit_rate", Value::from(cache.hit_rate())),
+        ]
+    };
     let warmed_cache = warmed.metrics().cache;
-    std::fs::remove_dir_all(&restart_dir).ok();
+    let mut warmed_block = counters(warmed_secs, &warmed_cache);
+    warmed_block.push(("warm_hits", Value::from(warmed_cache.warm_hits)));
+    Value::object(vec![
+        ("requests", Value::from(mix.len())),
+        ("snapshot_entries", Value::from(snapshot.entries)),
+        (
+            "cold",
+            Value::object(counters(cold_secs, &cold.metrics().cache)),
+        ),
+        ("warmed", Value::object(warmed_block)),
+        ("warmed_vs_cold", Value::from(ratio(cold_secs, warmed_secs))),
+        (
+            "payloads_identical",
+            Value::from(
+                reference.len() == mix.len()
+                    && same_payloads(&reference, &cold_answers)
+                    && same_payloads(&reference, &warmed_answers),
+            ),
+        ),
+    ])
+}
 
-    let restart_identical = reference_payloads == cold_payloads
-        && reference_payloads == warmed_payloads
-        && reference_payloads.len() == traffic.len();
-
-    // --- The observability arm -------------------------------------------
-    // Every request distinct and unpinned, replayed against a cold
-    // cache: no hits, no coalescing, so every request is a miss.
-    let miss_suite = qrc_benchgen::paper_suite(2, settings.max_qubits.min(3));
-    let miss_traffic: Vec<ServeRequest> = miss_suite
+/// The observability arm: every request distinct and unpinned, replayed
+/// against a cold cache (so every request is a miss) through the queued
+/// front-end path, where stage histograms, request ids and span
+/// synthesis are all live. The full observability surface (global
+/// profiler plus 1-in-N trace sampling) on vs off must leave payloads
+/// byte-identical, and the instrumented round's stage histograms must
+/// reconstruct the miss latency the responses themselves reported.
+fn observability_arm(
+    settings: &EvalSettings,
+    serve: &ServeBenchSettings,
+    models: &[TrainedPredictor],
+) -> Value {
+    const TRACE_SAMPLE: u64 = 4;
+    let suite = qrc_benchgen::paper_suite(2, settings.max_qubits.min(3));
+    let queued: Vec<QueuedLine> = suite
         .iter()
         .enumerate()
         .flat_map(|(index, qc)| {
-            let text = qrc_circuit::qasm::to_qasm(qc);
-            qrc_predictor::RewardKind::ALL
+            let qasm = to_qasm(qc);
+            RewardKind::ALL
                 .into_iter()
-                .map(move |objective| ServeRequest {
-                    id: Some(format!("miss-{index}-{}", objective.name())),
-                    qasm: text.clone(),
-                    objective,
-                    device_pin: None,
+                .map(move |objective| QueuedLine {
+                    line: ServeRequest {
+                        id: Some(format!("miss-{index}-{}", objective.name())),
+                        qasm: qasm.clone(),
+                        objective,
+                        device_pin: None,
+                    }
+                    .to_line(),
+                    queue_us: 0,
                 })
         })
         .collect();
-    // The mix runs through the queued front-end path (`handle_queued`)
-    // so every surface the serving stack instruments is live: stage
-    // histograms, request ids, span synthesis. The full observability
-    // surface on (global profiler + 1-in-N trace sampling) vs off,
-    // best-of-five cold rounds each — must produce byte-identical
-    // payloads, and the instrumented rounds' stage histograms must
-    // reconstruct the miss latency the responses themselves reported.
-    const OBS_TRACE_SAMPLE: u64 = 4;
-    let obs_lines: Vec<String> = miss_traffic.iter().map(ServeRequest::to_line).collect();
-    let obs_round =
-        |instrumented: bool| -> (Vec<Value>, f64, Vec<ServeResponse>, CompilationService) {
-            qrc_obs::profile::reset();
-            qrc_obs::profile::set_enabled(instrumented);
-            let service = CompilationService::with_registry(
-                ModelRegistry::from_models(models.clone()),
-                &ServiceConfig {
-                    // Serial scheduling: the two rounds must differ
-                    // only in instrumentation.
-                    parallel: false,
-                    seed: settings.seed,
-                    verbose: false,
-                    ..ServiceConfig::default()
-                },
-            );
-            if instrumented {
-                service.enable_tracing(OBS_TRACE_SAMPLE);
-            }
-            let queued: Vec<QueuedLine> = obs_lines
-                .iter()
-                .map(|line| QueuedLine {
-                    line: line.clone(),
-                    queue_us: 0,
-                })
-                .collect();
-            let start = Instant::now();
-            let mut responses = Vec::with_capacity(queued.len());
-            for chunk in queued.chunks(serve.batch_size.max(1)) {
-                responses.extend(service.handle_queued(chunk));
-            }
-            let secs = start.elapsed().as_secs_f64();
-            let payloads = responses.iter().map(ServeResponse::payload_value).collect();
-            (payloads, secs, responses, service)
-        };
+    let round = |instrumented: bool| {
+        qrc_obs::profile::reset();
+        qrc_obs::profile::set_enabled(instrumented);
+        // Serial scheduling: the two rounds must differ only in
+        // instrumentation.
+        let service = service(
+            ModelRegistry::from_models(models.to_vec()),
+            settings.seed,
+            false,
+        );
+        if instrumented {
+            service.enable_tracing(TRACE_SAMPLE);
+        }
+        let (answers, secs) = replay(&queued, serve.batch_size, |chunk| {
+            service.handle_queued(chunk)
+        });
+        (answers, secs, service)
+    };
     // Five off/on round *pairs*: the overhead gate compares two
-    // near-identical wall-clocks, so the arms are interleaved (any
+    // near-identical wall-clocks, so the rounds are interleaved (any
     // ambient load drift hits both equally) and the minimum gets
     // enough draws to shake scheduler noise out.
-    let mut obs_disabled_secs = f64::INFINITY;
-    let mut obs_enabled_secs = f64::INFINITY;
-    let mut obs_off_payloads = Vec::new();
-    let mut obs_kept = None;
+    let (mut disabled_secs, mut enabled_secs) = (f64::INFINITY, f64::INFINITY);
+    let mut last = None;
     for _ in 0..5 {
-        let (payloads, secs, _, _) = obs_round(false);
-        obs_disabled_secs = obs_disabled_secs.min(secs);
-        obs_off_payloads = payloads;
-        let (payloads, secs, responses, service) = obs_round(true);
-        obs_enabled_secs = obs_enabled_secs.min(secs);
-        obs_kept = Some((payloads, responses, service));
+        let (off, secs, _) = round(false);
+        disabled_secs = disabled_secs.min(secs);
+        let (on, secs, service) = round(true);
+        enabled_secs = enabled_secs.min(secs);
+        last = Some((off, on, service));
     }
-    let (obs_on_payloads, obs_responses, obs_service) =
-        obs_kept.expect("at least one observability round pair");
-    // Snapshot the global profiler before anything else perturbs it; it
-    // reflects the instrumented arm's final round, as do the service's
-    // stage histograms and responses below (each round resets it).
-    let obs_profile = qrc_obs::profile::snapshot();
+    let (off, on, service) = last.expect("five round pairs ran");
+    // The profiler, like the stage histograms and responses, reflects
+    // the final instrumented round (each round resets it).
+    let profile = qrc_obs::profile::snapshot();
     qrc_obs::profile::set_enabled(false);
     qrc_obs::profile::reset();
 
-    let obs_identical =
-        obs_off_payloads == obs_on_payloads && obs_on_payloads.len() == miss_traffic.len();
-    let obs_miss_micros: Vec<u64> = obs_responses
+    let miss_micros: Vec<u64> = on
         .iter()
         .filter(|r| matches!(r.result, Ok((_, CacheStatus::Miss))))
         .map(|r| r.micros)
         .collect();
-    let obs_mean_miss_us = if obs_miss_micros.is_empty() {
-        0.0
-    } else {
-        obs_miss_micros.iter().sum::<u64>() as f64 / obs_miss_micros.len() as f64
+    let per_miss = |total: f64| {
+        if miss_micros.is_empty() {
+            0.0
+        } else {
+            total / miss_micros.len() as f64
+        }
     };
-    let stage_mean = |stage: Stage| -> f64 {
-        let h = obs_service.stage_histogram(stage);
+    let mean_miss_us = per_miss(miss_micros.iter().sum::<u64>() as f64);
+    let stage_mean = |stage: Stage| {
+        let h = service.stage_histogram(stage);
         if h.count() == 0 {
             0.0
         } else {
             h.sum() as f64 / h.count() as f64
         }
     };
-    let obs_profile_mean_us = if obs_miss_micros.is_empty() {
-        0.0
-    } else {
-        obs_profile.total_us() as f64 / obs_miss_micros.len() as f64
-    };
-    let obs_sink = obs_service.trace_sink();
-    let obs_trace = obs_sink.to_chrome_value();
-    let obs_trace_events = match &obs_trace {
-        Value::Object(pairs) => pairs
-            .iter()
-            .find(|(key, _)| key == "traceEvents")
-            .map(|(_, events)| events),
-        _ => None,
-    };
-    let (obs_trace_events, obs_trace_valid) = match obs_trace_events {
-        Some(Value::Array(events)) => (
-            events.len() as u64,
-            !events.is_empty()
-                && events.iter().all(|event| {
-                    matches!(event, Value::Object(pairs)
-                        if pairs.iter().any(|(key, value)| key == "ph" && value == &Value::from("X")))
-                }),
-        ),
-        _ => (0, false),
-    };
-
-    // --- The fleet arm ----------------------------------------------------
-    // The arm-1 mix streamed through a real consistent-hash router
-    // over three in-process socket replicas. Total cache capacity
-    // matches the single-node arms (each replica owns a third), so
-    // any hit-rate loss would be a routing-locality failure, not a
-    // memory handicap. The single-node pipelined service's hit rate
-    // over the same streamed mix is the baseline.
-    const FLEET_REPLICAS: usize = 3;
-    // Effective hit rate — requests answered without a fresh policy
-    // inference. Raw hit counters are timing-dependent (a repeat that
-    // lands in the same batch as its first occurrence coalesces
-    // instead of hitting), but every *miss* is an inference, so
-    // 1 − misses/requests is the batch-boundary-invariant locality
-    // measure.
-    let effective_hit_rate = |misses: u64| 1.0 - misses as f64 / (traffic.len() as f64).max(1.0);
-    let fleet_single_hit_rate = effective_hit_rate(service.metrics().cache.misses);
-    let fleet = replay_fleet(
-        &models,
-        &traffic,
-        &serial_responses,
-        serve.batch_size,
-        settings.seed,
-        FLEET_REPLICAS,
+    let (parse, admission, compute) = (
+        stage_mean(Stage::Parse),
+        stage_mean(Stage::Admission),
+        stage_mean(Stage::Compute),
     );
+    let sink = service.trace_sink();
+    let trace = sink.to_chrome_value();
+    let events = trace
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .unwrap_or_default();
+    let trace_valid = !events.is_empty()
+        && events
+            .iter()
+            .all(|event| event.get("ph") == Some(&Value::from("X")));
+    Value::object(vec![
+        ("requests", Value::from(queued.len())),
+        ("trace_sample", Value::from(TRACE_SAMPLE)),
+        ("disabled_secs", Value::from(disabled_secs)),
+        ("enabled_secs", Value::from(enabled_secs)),
+        // Negative values are noise: the surface costs less than the
+        // run-to-run spread.
+        (
+            "overhead_frac",
+            Value::from(ratio(enabled_secs, disabled_secs) - 1.0),
+        ),
+        (
+            "payloads_identical",
+            Value::from(on.len() == queued.len() && same_payloads(&off, &on)),
+        ),
+        (
+            "trace",
+            Value::object(vec![
+                ("sampled_requests", Value::from(sink.sampled_requests())),
+                ("events", Value::from(events.len())),
+                ("valid", Value::from(trace_valid)),
+            ]),
+        ),
+        ("mean_miss_us", Value::from(mean_miss_us)),
+        (
+            "stage_means_us",
+            Value::object(vec![
+                ("parse", Value::from(parse)),
+                ("admission", Value::from(admission)),
+                ("compute", Value::from(compute)),
+                (
+                    "profile_drilldown",
+                    Value::from(per_miss(profile.total_us() as f64)),
+                ),
+            ]),
+        ),
+        // Queue wait is zero on this path, so parse, admission and
+        // compute make up the whole reported latency.
+        (
+            "stage_breakdown_frac",
+            Value::from(ratio(parse + admission + compute, mean_miss_us)),
+        ),
+    ])
+}
 
-    // --- The closed-loop retrain arm --------------------------------------
-    // Deliberately weak wildcard checkpoints (a 300-timestep budget,
-    // far too small to learn even this toy suite) serve a skewed,
-    // traffic-logged mix; the offline retrain flow fine-tunes the
-    // traffic-bearing shard on the logged head with the entropy
-    // bonus, the gate replays held-out traffic, and `reload()` swaps
-    // the promoted checkpoint in while three workers keep requests
-    // flowing. Weak incumbents are the point: promotion must
-    // deterministically fire, so the arm measures the whole loop, not
-    // a coin flip on whether fine-tuning happened to help.
-    const RETRAIN_WEAK_TIMESTEPS: usize = 300;
-    let retrain_dir =
-        std::env::temp_dir().join(format!("qrc_serve_bench_retrain_{}", std::process::id()));
-    std::fs::remove_dir_all(&retrain_dir).ok();
-    std::fs::create_dir_all(&retrain_dir).expect("create retrain-arm models dir");
+/// The fleet arm: the arm-1 mix streamed through a real consistent-hash
+/// router over three in-process socket replicas. Each replica owns a
+/// third of the single-node cache capacity, so a hit-rate loss against
+/// the single pipelined node would be a routing-locality failure, not a
+/// memory handicap.
+fn fleet_arm(
+    settings: &EvalSettings,
+    serve: &ServeBenchSettings,
+    models: &[TrainedPredictor],
+    mix: &[ServeRequest],
+    serial: &[ServeResponse],
+    serial_secs: f64,
+    single_node_misses: u64,
+) -> Value {
+    const REPLICAS: usize = 3;
+    let config = ServiceConfig {
+        parallel: true,
+        seed: settings.seed,
+        verbose: false,
+        cache_capacity: (ServiceConfig::default().cache_capacity / REPLICAS).max(1),
+        ..ServiceConfig::default()
+    };
+    let mut replicas = Vec::with_capacity(REPLICAS);
+    for _ in 0..REPLICAS {
+        let service = Arc::new(CompilationService::with_registry(
+            ModelRegistry::from_models(models.to_vec()),
+            &config,
+        ));
+        let listener = bind_ephemeral(None).expect("bind replica listener");
+        let addr = listener.local_addr().expect("replica addr").to_string();
+        let (stop, server) = spawn_server(&service, listener, serve.batch_size, mix.len());
+        replicas.push((service, addr, stop, server));
+    }
+    let router = Arc::new(
+        FleetRouter::new(RouterConfig {
+            replicas: replicas.iter().map(|(_, addr, ..)| addr.clone()).collect(),
+            record_routes: true,
+            ..RouterConfig::default()
+        })
+        .expect("resolve replica addresses"),
+    );
+    router.start().expect("dial the replica fleet");
+    let listener = bind_ephemeral(None).expect("bind router listener");
+    let addr = listener.local_addr().expect("router addr");
+    let router_thread = {
+        let router = Arc::clone(&router);
+        std::thread::spawn(move || router.run(listener))
+    };
+    let (replies, secs) = replay_socket(addr, mix);
+    // The shutdown line drained the router; the replicas stay up until
+    // their counters are read.
+    router_thread
+        .join()
+        .expect("router thread panicked")
+        .expect("router failed");
+    let (slots, errors) = collate(replies, mix.len());
+    let route_log = router.route_log();
+
+    let (mut hits, mut misses, mut rerouted) = (0, 0, 0);
+    let mut per_replica = Vec::with_capacity(REPLICAS);
+    for (counters, (service, _, stop, server)) in
+        router.replica_counters().into_iter().zip(replicas)
+    {
+        let cache = service.metrics().cache;
+        hits += cache.hits;
+        misses += cache.misses;
+        rerouted += counters.rerouted;
+        per_replica.push(Value::object(vec![
+            ("addr", Value::from(counters.addr)),
+            ("routed", Value::from(counters.routed)),
+            ("completed", Value::from(counters.completed)),
+            ("rerouted", Value::from(counters.rerouted)),
+            ("ejections", Value::from(counters.ejections)),
+            ("hits", Value::from(cache.hits)),
+            ("misses", Value::from(cache.misses)),
+        ]));
+        stop.request();
+        server
+            .join()
+            .expect("replica thread panicked")
+            .expect("replica front end failed");
+    }
+    // Effective hit rate: the share of requests answered without a
+    // fresh policy inference. Raw hit counters depend on timing (a
+    // repeat in the same batch as its first occurrence coalesces
+    // instead of hitting), but every miss is an inference, so
+    // 1 − misses/requests measures locality whatever the batch
+    // boundaries.
+    let n = mix.len() as f64;
+    let effective_hit_rate = |misses: u64| 1.0 - misses as f64 / n.max(1.0);
+    Value::object(vec![
+        ("replicas_count", Value::from(REPLICAS)),
+        ("requests", Value::from(mix.len())),
+        ("secs", Value::from(secs)),
+        ("requests_per_sec", Value::from(ratio(n, secs))),
+        ("vs_serial", Value::from(ratio(serial_secs, secs))),
+        (
+            "payloads_identical",
+            Value::from(
+                serial.len() == mix.len()
+                    && slots
+                        .iter()
+                        .zip(serial)
+                        .all(|(got, want)| got.as_ref() == Some(&want.payload_value())),
+            ),
+        ),
+        ("hits", Value::from(hits)),
+        ("misses", Value::from(misses)),
+        ("hit_rate", Value::from(effective_hit_rate(misses))),
+        (
+            "single_node_hit_rate",
+            Value::from(effective_hit_rate(single_node_misses)),
+        ),
+        // Consistent hashing held: every routed key landed on exactly
+        // one replica for the whole replay.
+        (
+            "locality_ok",
+            Value::from(
+                !route_log.is_empty() && route_log.iter().all(|(_, owners)| owners.len() == 1),
+            ),
+        ),
+        ("errors", Value::from(errors)),
+        ("rerouted", Value::from(rerouted)),
+        ("round_robin", Value::from(router.round_robin_count())),
+        ("replicas", Value::Array(per_replica)),
+    ])
+}
+
+/// Places each fleet reply in its request's slot (`synthetic_mix` ids
+/// are `req-{index}`) and counts failed requests, each once: a request
+/// failed when its reply is not `ok`, is missing, or matches no slot.
+fn collate(replies: Vec<Value>, requests: usize) -> (Vec<Option<Value>>, u64) {
+    let mut slots: Vec<Option<Value>> = vec![None; requests];
+    for reply in replies {
+        let index = reply
+            .get("id")
+            .and_then(Value::as_str)
+            .and_then(|id| id.strip_prefix("req-"))
+            .and_then(|index| index.parse::<usize>().ok());
+        if let Some(slot @ None) = index.and_then(|index| slots.get_mut(index)) {
+            *slot = Some(reply);
+        }
+    }
+    let failed = slots
+        .iter()
+        .filter(|slot| {
+            let ok = slot.as_ref().and_then(|reply| reply.get("ok"));
+            ok.and_then(Value::as_bool) != Some(true)
+        })
+        .count();
+    (slots, failed as u64)
+}
+
+/// The closed-loop retrain arm. Deliberately weak wildcard checkpoints
+/// (a 300-timestep budget, far too small to learn even this toy suite)
+/// serve a skewed, traffic-logged mix; the offline retrain flow
+/// fine-tunes the traffic-bearing shard on the logged head with the
+/// entropy bonus, the gate replays held-out traffic, and `reload()`
+/// swaps the promoted checkpoint in while three workers keep requests
+/// flowing. Weak incumbents are the point: promotion must fire
+/// deterministically, so the arm measures the whole loop, not a coin
+/// flip on whether fine-tuning happened to help.
+fn retrain_arm(settings: &EvalSettings, serve: &ServeBenchSettings) -> Value {
+    const WEAK_TIMESTEPS: usize = 300;
+    let dir = std::env::temp_dir().join(format!("qrc_serve_bench_retrain_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create retrain-arm models dir");
     let weak_suite = vec![
-        qrc_benchgen::BenchmarkFamily::Ghz.generate(3),
-        qrc_benchgen::BenchmarkFamily::Dj.generate(3),
+        BenchmarkFamily::Ghz.generate(3),
+        BenchmarkFamily::Dj.generate(3),
     ];
     let weak_settings = EvalSettings {
-        timesteps: RETRAIN_WEAK_TIMESTEPS,
+        timesteps: WEAK_TIMESTEPS,
         verbose: false,
         ..settings.clone()
     };
     for model in &train_models(&weak_suite, &weak_settings) {
         model
             .save(&ModelRegistry::model_path(
-                &retrain_dir,
+                &dir,
                 ShardKey::wildcard(model.reward()),
             ))
             .expect("save retrain-arm weak checkpoint");
     }
-    let retrain_log = retrain_dir.join("traffic.ndjson");
-    let retrain_service = Arc::new(
+    let log = dir.join("traffic.ndjson");
+    let start_service = |parallel: bool| {
         CompilationService::start(&ServiceConfig {
-            models_dir: retrain_dir.clone(),
+            models_dir: dir.clone(),
+            parallel,
             seed: settings.seed,
             verbose: false,
             ..ServiceConfig::default()
         })
-        .expect("start retrain-arm service"),
-    );
-    retrain_service
-        .set_traffic_log(&retrain_log)
+    };
+    let live = Arc::new(start_service(true).expect("start retrain-arm service"));
+    live.set_traffic_log(&log)
         .expect("attach retrain-arm traffic log");
     // The skewed mix the loop learns from: one hot circuit dominating,
-    // a warm and a cool one behind it, and a one-off tail —
-    // interleaved so the frequency ranking is real work.
-    let retrain_request = |family: qrc_benchgen::BenchmarkFamily, qubits: u32, id: String| {
-        let mut request = ServeRequest::new(qrc_circuit::qasm::to_qasm(&family.generate(qubits)));
-        request.id = Some(id);
-        request
+    // a warm and a cool one behind it, and a one-off tail, interleaved
+    // so the frequency ranking is real work.
+    let request = |family: BenchmarkFamily, qubits: u32, id: String| ServeRequest {
+        id: Some(id),
+        ..ServeRequest::new(to_qasm(&family.generate(qubits)))
     };
-    let mut retrain_traffic = Vec::new();
+    let mut mix = Vec::new();
     for i in 0..12 {
-        retrain_traffic.push(retrain_request(
-            qrc_benchgen::BenchmarkFamily::Ghz,
-            3,
-            format!("hot-{i}"),
-        ));
+        mix.push(request(BenchmarkFamily::Ghz, 3, format!("hot-{i}")));
         if i < 6 {
-            retrain_traffic.push(retrain_request(
-                qrc_benchgen::BenchmarkFamily::Dj,
-                3,
-                format!("warm-{i}"),
-            ));
+            mix.push(request(BenchmarkFamily::Dj, 3, format!("warm-{i}")));
         }
         if i < 3 {
-            retrain_traffic.push(retrain_request(
-                qrc_benchgen::BenchmarkFamily::Ghz,
-                2,
-                format!("cool-{i}"),
-            ));
+            mix.push(request(BenchmarkFamily::Ghz, 2, format!("cool-{i}")));
         }
     }
-    retrain_traffic.push(retrain_request(
-        qrc_benchgen::BenchmarkFamily::Ghz,
-        4,
-        "tail-0".into(),
-    ));
-    for chunk in retrain_traffic.chunks(serve.batch_size.max(1)) {
-        for response in retrain_service.handle_batch(chunk) {
-            assert!(
-                response.result.is_ok(),
-                "retrain-arm serve failed: {:?}",
-                response.result
-            );
-        }
+    mix.push(request(BenchmarkFamily::Ghz, 4, "tail-0".into()));
+    let (logged, _) = replay(&mix, serve.batch_size, |chunk| live.handle_batch(chunk));
+    if let Some(failed) = logged.iter().find(|r| r.result.is_err()) {
+        panic!("retrain-arm serve failed: {:?}", failed.result);
     }
-    let retrain_uniques: Vec<ServeRequest> =
-        head_of_distribution_counts(&retrain_traffic, usize::MAX)
-            .into_iter()
-            .map(|(request, _)| request)
-            .collect();
-    let retrain_payload = |service: &CompilationService, request: &ServeRequest| -> Value {
-        service.handle_batch(std::slice::from_ref(request))[0].payload_value()
+    let uniques: Vec<ServeRequest> = head_of_distribution_counts(&mix, usize::MAX)
+        .into_iter()
+        .map(|(request, _)| request)
+        .collect();
+    let payloads = |service: &CompilationService| -> Vec<Value> {
+        uniques
+            .iter()
+            .map(|r| service.handle_batch(std::slice::from_ref(r))[0].payload_value())
+            .collect()
     };
-    let mean_reward = |payloads: &[Value]| -> f64 {
+    let mean_reward = |payloads: &[Value]| {
         payloads
             .iter()
             .map(|p| p.get("reward").and_then(Value::as_f64).unwrap_or(0.0))
             .sum::<f64>()
             / (payloads.len() as f64).max(1.0)
     };
-    let retrain_before: Vec<Value> = retrain_uniques
-        .iter()
-        .map(|r| retrain_payload(&retrain_service, r))
-        .collect();
-    let retrain_before_mean_reward = mean_reward(&retrain_before);
+    let before = payloads(&live);
 
-    let retrain_start = Instant::now();
-    let retrain_outcome = run_retrain(&RetrainConfig {
-        models_dir: retrain_dir.clone(),
-        log_path: retrain_log.clone(),
+    let start = Instant::now();
+    let outcome = run_retrain(&RetrainConfig {
+        models_dir: dir.clone(),
+        log_path: log.clone(),
         timesteps: 1500,
         curriculum_cap: 8,
         max_repeats: 6,
@@ -967,27 +822,26 @@ pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> S
         ..RetrainConfig::default()
     })
     .expect("offline retrain over the logged traffic");
-    let retrain_secs = retrain_start.elapsed().as_secs_f64();
-    let promoted_gate = retrain_outcome
+    let retrain_secs = start.elapsed().as_secs_f64();
+    let gate = outcome
         .outcomes
         .iter()
         .find(|o| o.gate.promoted)
         .map(|o| o.gate.clone())
-        .unwrap_or_else(|| panic!("retrain arm promotes a candidate: {:?}", retrain_outcome));
+        .unwrap_or_else(|| panic!("retrain arm promotes a candidate: {outcome:?}"));
 
     // Swap the promoted checkpoint in through the live reload path
     // under 3-thread load; a served counter brackets the reload so the
     // swap provably happens while traffic flows.
-    let retrain_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let retrain_served = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let retrain_workers: Vec<_> = (0..3)
+    let stop = Arc::new(AtomicBool::new(false));
+    let served = Arc::new(AtomicU64::new(0));
+    let workers: Vec<_> = (0..3)
         .map(|w| {
-            let service = Arc::clone(&retrain_service);
-            let stop = Arc::clone(&retrain_stop);
-            let served = Arc::clone(&retrain_served);
-            let mix = retrain_traffic.clone();
+            let service = Arc::clone(&live);
+            let stop = Arc::clone(&stop);
+            let served = Arc::clone(&served);
+            let mix = mix.clone();
             std::thread::spawn(move || -> (u64, u64) {
-                use std::sync::atomic::Ordering;
                 let (mut ok, mut failed, mut i) = (0u64, 0u64, 0u64);
                 while !stop.load(Ordering::SeqCst) {
                     let mut request = mix[(i as usize) % mix.len()].clone();
@@ -1003,295 +857,248 @@ pub fn run_serve_bench(settings: &EvalSettings, serve: &ServeBenchSettings) -> S
             })
         })
         .collect();
-    {
-        use std::sync::atomic::Ordering;
-        while retrain_served.load(Ordering::SeqCst) < 6 {
-            std::thread::yield_now();
-        }
-        let reload = retrain_service
-            .reload()
-            .expect("reload promoted checkpoint");
-        assert!(
-            !reload.loaded.is_empty(),
-            "the promoted checkpoint is picked up: {reload:?}"
-        );
-        let at_swap = retrain_served.load(Ordering::SeqCst);
-        while retrain_served.load(Ordering::SeqCst) < at_swap + 6 {
-            std::thread::yield_now();
-        }
-        retrain_stop.store(true, Ordering::SeqCst);
+    while served.load(Ordering::SeqCst) < 6 {
+        std::thread::yield_now();
     }
-    let (mut retrain_swap_served, mut retrain_swap_failed) = (0u64, 0u64);
-    for worker in retrain_workers {
+    let reload = live.reload().expect("reload promoted checkpoint");
+    assert!(
+        !reload.loaded.is_empty(),
+        "the promoted checkpoint is picked up: {reload:?}"
+    );
+    let at_swap = served.load(Ordering::SeqCst);
+    while served.load(Ordering::SeqCst) < at_swap + 6 {
+        std::thread::yield_now();
+    }
+    stop.store(true, Ordering::SeqCst);
+    let (mut swap_served, mut swap_failed) = (0u64, 0u64);
+    for worker in workers {
         let (ok, failed) = worker.join().expect("join retrain-arm load worker");
-        retrain_swap_served += ok;
-        retrain_swap_failed += failed;
+        swap_served += ok;
+        swap_failed += failed;
     }
     // Zero stale answers: post-swap payloads must be byte-identical to
     // a fresh *serial* service started from the promoted checkpoints.
-    let retrain_fresh = CompilationService::start(&ServiceConfig {
-        models_dir: retrain_dir.clone(),
-        parallel: false,
-        seed: settings.seed,
-        verbose: false,
-        ..ServiceConfig::default()
-    })
-    .expect("start fresh post-promotion reference service");
-    let retrain_after: Vec<Value> = retrain_uniques
-        .iter()
-        .map(|r| retrain_payload(&retrain_service, r))
-        .collect();
-    let retrain_identical = retrain_uniques
-        .iter()
-        .zip(retrain_after.iter())
-        .all(|(request, swapped)| *swapped == retrain_payload(&retrain_fresh, request));
-    let retrain_after_mean_reward = mean_reward(&retrain_after);
-    drop(retrain_fresh);
-    drop(retrain_service);
-    std::fs::remove_dir_all(&retrain_dir).ok();
+    let fresh = start_service(false).expect("start fresh post-promotion reference service");
+    let after = payloads(&live);
+    let identical = after == payloads(&fresh);
+    drop(fresh);
+    drop(live);
+    std::fs::remove_dir_all(&dir).ok();
 
-    // --- The dynamic-device / live-calibration arm ------------------------
-    // A runtime spec joins the built-ins in the process-wide registry,
-    // and the arm-1 mix is extended with requests pinned to it. One
-    // service answers the whole mix, the dynamic device is
-    // live-calibrated, and the mix replays on the same (warm) service:
-    // exactly the calibration-keyed payloads pinned to the dynamic
-    // device may change. This arm runs last — the calibration swap
-    // mutates the process-wide registry, and nothing after it may
-    // depend on the original synthetic calibration.
-    const DYN_DEVICE: &str = "bench_dyn_ring_12";
-    let dynamic_id = qrc_device::DeviceRegistry::register(
+    let improvement = gate.candidate_head_reward - gate.incumbent_head_reward;
+    // The loop did what it promises: one promotion and no quarantine, a
+    // strictly better head, no held-out regression, action diversity
+    // kept, a live swap that carried load and failed nothing, and
+    // post-swap answers equal to fresh compilation under the new
+    // checkpoint.
+    let loop_ok = outcome.promoted == 1
+        && outcome.rejected == 0
+        && improvement > 0.0
+        && gate.candidate_holdout_reward >= gate.incumbent_holdout_reward
+        && gate.candidate_entropy >= outcome.entropy_floor
+        && swap_failed == 0
+        && swap_served > 0
+        && identical;
+    Value::object(vec![
+        ("requests", Value::from(mix.len())),
+        ("shards_considered", Value::from(outcome.shards_considered)),
+        ("skipped", Value::from(outcome.skipped)),
+        ("candidates", Value::from(outcome.candidates)),
+        ("promoted", Value::from(outcome.promoted)),
+        ("rejected", Value::from(outcome.rejected)),
+        (
+            "head",
+            Value::object(vec![
+                ("incumbent_reward", Value::from(gate.incumbent_head_reward)),
+                ("candidate_reward", Value::from(gate.candidate_head_reward)),
+                ("improvement", Value::from(improvement)),
+            ]),
+        ),
+        (
+            "holdout",
+            Value::object(vec![
+                (
+                    "incumbent_reward",
+                    Value::from(gate.incumbent_holdout_reward),
+                ),
+                (
+                    "candidate_reward",
+                    Value::from(gate.candidate_holdout_reward),
+                ),
+            ]),
+        ),
+        (
+            "entropy",
+            Value::object(vec![
+                ("floor", Value::from(outcome.entropy_floor)),
+                ("candidate", Value::from(gate.candidate_entropy)),
+            ]),
+        ),
+        ("secs", Value::from(retrain_secs)),
+        ("swap_served", Value::from(swap_served)),
+        ("swap_failed", Value::from(swap_failed)),
+        ("payloads_identical", Value::from(identical)),
+        (
+            "served_reward",
+            Value::object(vec![
+                ("before", Value::from(mean_reward(&before))),
+                ("after", Value::from(mean_reward(&after))),
+            ]),
+        ),
+        ("loop_ok", Value::from(loop_ok)),
+    ])
+}
+
+/// The dynamic-device arm: a runtime spec joins the built-ins in the
+/// process-wide registry, and the arm-1 mix is extended with requests
+/// pinned to it. One service answers the whole mix, the dynamic device
+/// is live-calibrated, and the mix replays on the same (warm) service:
+/// exactly the calibration-keyed payloads pinned to the dynamic device
+/// may change.
+fn dynamic_devices_arm(
+    settings: &EvalSettings,
+    serve: &ServeBenchSettings,
+    models: &[TrainedPredictor],
+    mix: &[ServeRequest],
+    serial: &[ServeResponse],
+) -> Value {
+    const DEVICE: &str = "bench_dyn_ring_12";
+    let device = qrc_device::DeviceRegistry::register(
         qrc_device::DeviceSpec::synthetic(
-            DYN_DEVICE,
+            DEVICE,
             qrc_device::Platform::Oqc,
             qrc_device::TopologySpec::Ring { qubits: 12 },
         ),
         qrc_device::DeviceSource::Runtime,
     )
     .expect("register the bench's dynamic device");
-    let dyn_seed_tag = qrc_device::DeviceRegistry::seed_tag(dynamic_id);
-    let mut dynamic_traffic = traffic.clone();
-    let dyn_suite = qrc_benchgen::paper_suite(2, settings.max_qubits.min(4));
-    dynamic_traffic.extend(dyn_suite.iter().enumerate().flat_map(|(index, qc)| {
-        let text = qrc_circuit::qasm::to_qasm(qc);
-        qrc_predictor::RewardKind::ALL
+    let mut dynamic_mix = mix.to_vec();
+    let suite = qrc_benchgen::paper_suite(2, settings.max_qubits.min(4));
+    dynamic_mix.extend(suite.iter().enumerate().flat_map(|(index, qc)| {
+        let qasm = to_qasm(qc);
+        RewardKind::ALL
             .into_iter()
             .map(move |objective| ServeRequest {
                 id: Some(format!("dyn-{index}-{}", objective.name())),
-                qasm: text.clone(),
+                qasm: qasm.clone(),
                 objective,
-                device_pin: Some(dynamic_id),
+                device_pin: Some(device),
             })
     }));
-    let dynamic_service = CompilationService::with_registry(
-        ModelRegistry::from_models(models.clone()),
-        &service_config(true),
+    let service = service(
+        ModelRegistry::from_models(models.to_vec()),
+        settings.seed,
+        true,
     );
-    let replay_dynamic = |service: &CompilationService| -> (Vec<Value>, f64) {
-        let start = Instant::now();
-        let mut payloads = Vec::with_capacity(dynamic_traffic.len());
-        for chunk in dynamic_traffic.chunks(serve.batch_size.max(1)) {
-            payloads.extend(
-                service
-                    .handle_batch(chunk)
-                    .iter()
-                    .map(ServeResponse::payload_value),
-            );
-        }
-        (payloads, start.elapsed().as_secs_f64())
-    };
-    let (dyn_before, dyn_before_secs) = replay_dynamic(&dynamic_service);
-    // The mix's prefix IS the arm-1 mix: with dynamic devices
-    // registered, the built-in answers must not move a byte.
-    let dyn_builtin_parity = dyn_before.len() == dynamic_traffic.len()
-        && dyn_before[..traffic.len()]
-            .iter()
-            .zip(serial_responses.iter())
-            .all(|(a, b)| *a == b.payload_value());
+    let (before, before_secs) = replay(&dynamic_mix, serve.batch_size, |chunk| {
+        service.handle_batch(chunk)
+    });
     let recalibration = qrc_device::CalibrationSpec::Synthetic {
         profile: qrc_device::ProfileSpec::Named("superconducting_oqc".into()),
-        seed: Some(format!("{DYN_DEVICE}_recal")),
+        seed: Some(format!("{DEVICE}_recal")),
     }
     .to_value();
-    let (dyn_calibration_generation, dyn_invalidated) = dynamic_service
-        .calibrate(DYN_DEVICE, &recalibration)
+    let (generation, invalidated) = service
+        .calibrate(DEVICE, &recalibration)
         .expect("live-calibrate the dynamic device");
-    let (dyn_after, dyn_after_secs) = replay_dynamic(&dynamic_service);
+    let (after, after_secs) = replay(&dynamic_mix, serve.batch_size, |chunk| {
+        service.handle_batch(chunk)
+    });
+
     // A payload embeds the calibration only when the rollout actually
     // compiled onto the device (nonzero reward); a failed rollout
     // renders the same zero-reward body under any calibration, so only
     // calibration-dependent payloads are *required* to change.
-    let reward_of = |payload: &Value| -> f64 {
-        payload
-            .get("reward")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0)
-    };
-    let mut dyn_changed = 0usize;
-    let mut dyn_expected_changed = 0usize;
-    let mut dyn_others_identical = dyn_after.len() == dyn_before.len();
-    for (index, (before, after)) in dyn_before.iter().zip(dyn_after.iter()).enumerate() {
+    let reward = |payload: &Value| payload.get("reward").and_then(Value::as_f64).unwrap_or(0.0);
+    let (mut changed, mut expected_changed) = (0usize, 0usize);
+    let mut others_identical = after.len() == before.len();
+    for (index, (old, new)) in before.iter().zip(&after).enumerate() {
+        let (old, new) = (old.payload_value(), new.payload_value());
         let calibration_keyed =
-            index >= traffic.len() && dynamic_traffic[index].objective.uses_calibration();
+            index >= mix.len() && dynamic_mix[index].objective.uses_calibration();
         if calibration_keyed {
-            if reward_of(before) != 0.0 || reward_of(after) != 0.0 {
-                dyn_expected_changed += 1;
-                if before != after {
-                    dyn_changed += 1;
-                }
+            if reward(&old) != 0.0 || reward(&new) != 0.0 {
+                expected_changed += 1;
+                changed += usize::from(old != new);
             }
-        } else if before != after {
-            dyn_others_identical = false;
+        } else if old != new {
+            others_identical = false;
         }
     }
-    let dyn_errors = dynamic_service.metrics().errors;
+    Value::object(vec![
+        ("requests", Value::from(dynamic_mix.len())),
+        ("device", Value::from(DEVICE)),
+        (
+            "seed_tag",
+            Value::from(qrc_device::DeviceRegistry::seed_tag(device)),
+        ),
+        ("before_secs", Value::from(before_secs)),
+        ("after_secs", Value::from(after_secs)),
+        // The mix's prefix is the arm-1 mix: registering a dynamic
+        // device must not move a byte of the built-in answers.
+        (
+            "builtin_parity",
+            Value::from(
+                before.len() == dynamic_mix.len() && same_payloads(&before[..mix.len()], serial),
+            ),
+        ),
+        (
+            "calibration",
+            Value::object(vec![
+                ("generation", Value::from(generation)),
+                ("invalidated", Value::from(invalidated)),
+            ]),
+        ),
+        ("changed", Value::from(changed)),
+        ("expected_changed", Value::from(expected_changed)),
+        ("others_identical", Value::from(others_identical)),
+        ("errors", Value::from(service.metrics().errors)),
+    ])
+}
 
-    let metrics = batched_service.metrics();
-    ServeBenchReport {
-        requests: traffic.len(),
-        batch_size: serve.batch_size,
-        threads: rayon::current_num_threads(),
-        train_secs,
-        serial_secs,
-        batched_secs,
-        pipelined_secs,
-        pipelined_port,
-        identical,
-        pipelined_identical,
-        hits: metrics.cache.hits,
-        misses: metrics.cache.misses,
-        hit_rate: metrics.cache.hit_rate(),
-        errors: metrics.errors,
-        p50_us: metrics.p50_us,
-        p99_us: metrics.p99_us,
-        p999_us: metrics.p999_us,
-        min_us: metrics.min_us,
-        max_us: metrics.max_us,
-        shard_train_secs,
-        sharded_requests: sharded_traffic.len(),
-        sharded_serial_secs,
-        sharded_secs,
-        monolithic_secs,
-        sharded_identical,
-        shard_stats: sharded_metrics.shards,
-        route_counts: sharded_metrics.routes,
-        restart_requests: traffic.len(),
-        snapshot_entries: snapshot.entries,
-        cold_restart_secs,
-        warmed_restart_secs,
-        cold_hit_rate: cold_cache.hit_rate(),
-        cold_hits: cold_cache.hits,
-        cold_misses: cold_cache.misses,
-        warmed_hit_rate: warmed_cache.hit_rate(),
-        warmed_hits: warmed_cache.hits,
-        warmed_misses: warmed_cache.misses,
-        warm_hits: warmed_cache.warm_hits,
-        restart_identical,
-        obs_requests: miss_traffic.len(),
-        obs_trace_sample: OBS_TRACE_SAMPLE,
-        obs_disabled_secs,
-        obs_enabled_secs,
-        obs_identical,
-        obs_sampled_requests: obs_sink.sampled_requests(),
-        obs_trace_events,
-        obs_trace_valid,
-        obs_mean_miss_us,
-        obs_parse_mean_us: stage_mean(Stage::Parse),
-        obs_admission_mean_us: stage_mean(Stage::Admission),
-        obs_compute_mean_us: stage_mean(Stage::Compute),
-        obs_profile_mean_us,
-        fleet_replicas: fleet.replicas,
-        fleet_requests: traffic.len(),
-        fleet_secs: fleet.secs,
-        fleet_identical: fleet.identical,
-        fleet_hits: fleet.hits,
-        fleet_misses: fleet.misses,
-        fleet_hit_rate: effective_hit_rate(fleet.misses),
-        fleet_single_hit_rate,
-        fleet_locality_ok: fleet.locality_ok,
-        fleet_errors: fleet.errors,
-        fleet_rerouted: fleet.rerouted,
-        fleet_round_robin: fleet.round_robin,
-        fleet_stats: fleet.stats,
-        retrain_requests: retrain_traffic.len(),
-        retrain_shards_considered: retrain_outcome.shards_considered,
-        retrain_skipped: retrain_outcome.skipped,
-        retrain_candidates: retrain_outcome.candidates,
-        retrain_promoted: retrain_outcome.promoted,
-        retrain_rejected: retrain_outcome.rejected,
-        retrain_incumbent_head_reward: promoted_gate.incumbent_head_reward,
-        retrain_candidate_head_reward: promoted_gate.candidate_head_reward,
-        retrain_incumbent_holdout_reward: promoted_gate.incumbent_holdout_reward,
-        retrain_candidate_holdout_reward: promoted_gate.candidate_holdout_reward,
-        retrain_entropy_floor: retrain_outcome.entropy_floor,
-        retrain_candidate_entropy: promoted_gate.candidate_entropy,
-        retrain_secs,
-        retrain_swap_served,
-        retrain_swap_failed,
-        retrain_identical,
-        retrain_before_mean_reward,
-        retrain_after_mean_reward,
-        dyn_requests: dynamic_traffic.len(),
-        dyn_device: DYN_DEVICE.to_string(),
-        dyn_seed_tag,
-        dyn_before_secs,
-        dyn_after_secs,
-        dyn_builtin_parity,
-        dyn_calibration_generation,
-        dyn_invalidated,
-        dyn_changed,
-        dyn_expected_changed,
-        dyn_others_identical,
-        dyn_errors,
+/// An in-process service over `registry`.
+fn service(registry: ModelRegistry, seed: u64, parallel: bool) -> CompilationService {
+    CompilationService::with_registry(
+        registry,
+        &ServiceConfig {
+            parallel,
+            seed,
+            verbose: false,
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+/// Replays `mix` in chunks of `chunk` through `handle` (one in-process
+/// service entry point); returns the responses and the wall-clock
+/// seconds.
+fn replay<T>(
+    mix: &[T],
+    chunk: usize,
+    mut handle: impl FnMut(&[T]) -> Vec<ServeResponse>,
+) -> (Vec<ServeResponse>, f64) {
+    let start = Instant::now();
+    let mut responses = Vec::with_capacity(mix.len());
+    for chunk in mix.chunks(chunk.max(1)) {
+        responses.extend(handle(chunk));
     }
+    (responses, start.elapsed().as_secs_f64())
 }
 
-/// Trains the extra bench shards on their scoped suite slices, each
-/// with a shard-tag-mixed seed (the same derivation
-/// [`ModelRegistry::ensure_with_shards`] uses for checkpoints).
-fn train_bench_shards(
-    suite: &[qrc_circuit::QuantumCircuit],
-    settings: &EvalSettings,
-) -> Vec<(ShardKey, qrc_predictor::TrainedPredictor)> {
-    bench_shard_keys()
-        .into_iter()
-        .map(|key| {
-            if settings.verbose {
-                eprintln!("training shard `{key}` on its scoped slice…");
-            }
-            let mut config = qrc_predictor::PredictorConfig::new(key.objective, settings.timesteps);
-            config.seed = task_seed(settings.seed, key.tag());
-            config.step_penalty = settings.step_penalty;
-            let model = qrc_predictor::train(key.suite_slice(suite), &config);
-            (key, model)
-        })
-        .collect()
-}
-
-/// Replays the traffic through a real loopback TCP connection against
-/// the pipelined socket front end: a writer thread streams every
-/// request while this thread collects responses, then the server is
-/// shut down gracefully. Binds `listen` when given, retrying on an
-/// ephemeral loopback port if that address is busy (never silently
-/// skipping the arm). Returns each response as a payload value (cache
-/// status, latency, and service-assigned `rid` stripped — all three
-/// depend on timing or arrival order, not content), the replay
-/// wall-clock, and the port actually bound.
-fn replay_pipelined(
+/// Serves `service` on `listener` from a thread of its own, in batches
+/// of `batch_size` behind a queue deep enough that none of `requests`
+/// is rejected: the socket arms measure pipelining and routing, not
+/// overload. Request shutdown with the flag or a `shutdown` line.
+fn spawn_server(
     service: &Arc<CompilationService>,
-    traffic: &[ServeRequest],
+    listener: TcpListener,
     batch_size: usize,
-    listen: Option<&str>,
-) -> (Vec<Value>, f64, u16) {
-    let listener = bind_ephemeral(listen).expect("bind ephemeral loopback port");
-    let local = listener.local_addr().expect("local addr");
-    let port = local.port();
+    requests: usize,
+) -> (ShutdownFlag, JoinHandle<std::io::Result<()>>) {
     let frontend = FrontendConfig {
         batch_size: batch_size.max(1),
         batch_wait: Duration::from_micros(500),
-        // The benchmark measures pipelining, not overload: size the
-        // queue so no request is rejected.
-        queue_capacity: traffic.len().max(16),
+        queue_capacity: requests.max(16),
         ..FrontendConfig::default()
     };
     let shutdown = ShutdownFlag::new();
@@ -1300,17 +1107,24 @@ fn replay_pipelined(
         let shutdown = shutdown.clone();
         std::thread::spawn(move || serve_socket(&service, listener, &frontend, &shutdown))
     };
+    (shutdown, server)
+}
 
+/// Streams `mix` to the NDJSON server at `addr`: a writer thread sends
+/// every request while this thread reads one reply per request, each
+/// without `cache`, `micros` and `rid` (they depend on timing and
+/// arrival order, not content). Then it sends `{"cmd":"shutdown"}` and
+/// waits for the acknowledgement. Returns the replies in arrival order
+/// and the wall-clock from connecting to the last reply.
+fn replay_socket(addr: SocketAddr, mix: &[ServeRequest]) -> (Vec<Value>, f64) {
     let start = Instant::now();
-    // Connect to the address actually bound — `--listen` may name a
-    // non-loopback interface.
-    let stream = TcpStream::connect(local).expect("connect to replay server");
+    let stream = TcpStream::connect(addr).expect("connect to the replay server");
     stream
         .set_read_timeout(Some(Duration::from_secs(600)))
         .expect("set read timeout");
     let writer = {
         let mut write_half = stream.try_clone().expect("clone stream for writing");
-        let lines: Vec<String> = traffic.iter().map(ServeRequest::to_line).collect();
+        let lines: Vec<String> = mix.iter().map(ServeRequest::to_line).collect();
         std::thread::spawn(move || {
             for line in lines {
                 if writeln!(write_half, "{line}").is_err() {
@@ -1320,241 +1134,469 @@ fn replay_pipelined(
             let _ = write_half.flush();
         })
     };
-    let mut payloads = Vec::with_capacity(traffic.len());
+    let mut replies = Vec::with_capacity(mix.len());
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream for reading"));
     let mut line = String::new();
-    while payloads.len() < traffic.len() {
+    while replies.len() < mix.len() {
         line.clear();
         if reader.read_line(&mut line).unwrap_or(0) == 0 {
             break;
         }
-        let mut value = serde_json::from_str(line.trim_end()).expect("response line is JSON");
-        if let Value::Object(pairs) = &mut value {
+        let mut reply = serde_json::from_str(line.trim_end()).expect("reply line is JSON");
+        if let Value::Object(pairs) = &mut reply {
             pairs.retain(|(key, _)| key != "cache" && key != "micros" && key != "rid");
         }
-        payloads.push(value);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    writer.join().expect("request writer panicked");
-
-    let mut control = stream;
-    let _ = control.write_all(b"{\"cmd\":\"shutdown\"}\n");
-    let _ = control.flush();
-    server
-        .join()
-        .expect("serve thread panicked")
-        .expect("socket front end failed");
-    (payloads, elapsed, port)
-}
-
-/// Everything the fleet arm measures in one replay.
-struct FleetOutcome {
-    replicas: usize,
-    secs: f64,
-    identical: bool,
-    errors: u64,
-    hits: u64,
-    misses: u64,
-    locality_ok: bool,
-    round_robin: u64,
-    rerouted: u64,
-    stats: Vec<FleetReplicaStat>,
-}
-
-/// Streams the traffic through a real `FleetRouter` fronting
-/// `replicas` in-process socket replicas of the same registry, each
-/// given an equal slice of the single-node cache capacity (so total
-/// capacity matches the single-node arms and the comparison isolates
-/// routing, not memory). Responses come back in per-replica order, so
-/// they are correlated with the serial baseline by request id.
-fn replay_fleet(
-    models: &[qrc_predictor::TrainedPredictor],
-    traffic: &[ServeRequest],
-    serial_responses: &[ServeResponse],
-    batch_size: usize,
-    seed: u64,
-    replicas: usize,
-) -> FleetOutcome {
-    let per_replica_cache = (ServiceConfig::default().cache_capacity / replicas).max(1);
-    let frontend = FrontendConfig {
-        batch_size: batch_size.max(1),
-        batch_wait: Duration::from_micros(500),
-        // The benchmark measures routing, not overload: size each
-        // replica's queue so nothing is ever rejected.
-        queue_capacity: traffic.len().max(16),
-        ..FrontendConfig::default()
-    };
-    let mut services = Vec::with_capacity(replicas);
-    let mut servers = Vec::with_capacity(replicas);
-    let mut flags = Vec::with_capacity(replicas);
-    let mut addrs = Vec::with_capacity(replicas);
-    for _ in 0..replicas {
-        let service = Arc::new(CompilationService::with_registry(
-            ModelRegistry::from_models(models.to_vec()),
-            &ServiceConfig {
-                parallel: true,
-                seed,
-                verbose: false,
-                cache_capacity: per_replica_cache,
-                ..ServiceConfig::default()
-            },
-        ));
-        let listener = bind_ephemeral(None).expect("bind replica listener");
-        addrs.push(listener.local_addr().expect("replica addr").to_string());
-        let shutdown = ShutdownFlag::new();
-        flags.push(shutdown.clone());
-        servers.push({
-            let service = Arc::clone(&service);
-            let frontend = frontend.clone();
-            std::thread::spawn(move || serve_socket(&service, listener, &frontend, &shutdown))
-        });
-        services.push(service);
-    }
-
-    let router = Arc::new(
-        FleetRouter::new(RouterConfig {
-            replicas: addrs.clone(),
-            record_routes: true,
-            ..RouterConfig::default()
-        })
-        .expect("resolve replica addresses"),
-    );
-    router.start().expect("dial the replica fleet");
-    let listener = bind_ephemeral(None).expect("bind router listener");
-    let local = listener.local_addr().expect("router addr");
-    let router_thread = {
-        let router = Arc::clone(&router);
-        std::thread::spawn(move || router.run(listener))
-    };
-
-    let start = Instant::now();
-    let stream = TcpStream::connect(local).expect("connect to router");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(600)))
-        .expect("set read timeout");
-    let writer = {
-        let mut write_half = stream.try_clone().expect("clone stream for writing");
-        let lines: Vec<String> = traffic.iter().map(ServeRequest::to_line).collect();
-        std::thread::spawn(move || {
-            for line in lines {
-                if writeln!(write_half, "{line}").is_err() {
-                    return;
-                }
-            }
-            let _ = write_half.flush();
-        })
-    };
-    let mut by_id: Vec<Option<Value>> = Vec::new();
-    by_id.resize(traffic.len(), None);
-    let mut errors = 0u64;
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream for reading"));
-    let mut line = String::new();
-    let mut received = 0usize;
-    while received < traffic.len() {
-        line.clear();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-            break;
-        }
-        received += 1;
-        let mut value = serde_json::from_str(line.trim_end()).expect("response line is JSON");
-        if value.get("ok").and_then(Value::as_bool) != Some(true) {
-            errors += 1;
-        }
-        if let Value::Object(pairs) = &mut value {
-            pairs.retain(|(key, _)| key != "cache" && key != "micros" && key != "rid");
-        }
-        // `synthetic_mix` ids are `req-{index}`: recover the slot.
-        let slot = value
-            .get("id")
-            .and_then(Value::as_str)
-            .and_then(|id| id.strip_prefix("req-"))
-            .and_then(|index| index.parse::<usize>().ok());
-        match slot {
-            Some(index) if index < by_id.len() && by_id[index].is_none() => {
-                by_id[index] = Some(value);
-            }
-            _ => errors += 1,
-        }
+        replies.push(reply);
     }
     let secs = start.elapsed().as_secs_f64();
     writer.join().expect("request writer panicked");
-
-    let identical = received == traffic.len()
-        && serial_responses.len() == traffic.len()
-        && by_id
-            .iter()
-            .zip(serial_responses.iter())
-            .all(|(got, want)| got.as_ref() == Some(&want.payload_value()));
-    let locality_ok = !router.route_log().is_empty()
-        && router
-            .route_log()
-            .iter()
-            .all(|(_, owners)| owners.len() == 1);
-    let round_robin = router.round_robin_count();
-
-    // Drain the router (replicas stay up so their metrics can be
-    // read), then stop each replica.
     let mut control = stream;
     let _ = control.write_all(b"{\"cmd\":\"shutdown\"}\n");
     let _ = control.flush();
     line.clear();
     let _ = reader.read_line(&mut line);
-    drop(control);
-    drop(reader);
-    router_thread
-        .join()
-        .expect("router thread panicked")
-        .expect("router failed");
+    (replies, secs)
+}
 
-    let counters = router.replica_counters();
-    let mut stats = Vec::with_capacity(replicas);
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut rerouted = 0u64;
-    for (index, service) in services.iter().enumerate() {
-        let metrics = service.metrics();
-        errors += metrics.errors;
-        hits += metrics.cache.hits;
-        misses += metrics.cache.misses;
-        let replica = counters
+/// `true` iff both response lists carry the same compilation payloads
+/// (cache statuses aside), in the same order.
+fn same_payloads(a: &[ServeResponse], b: &[ServeResponse]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(a, b)| a.payload_value() == b.payload_value())
+}
+
+/// `numerator / denominator`, with the denominator floored at 1e-12 so
+/// a zero wall-clock reads as a large ratio, not infinity.
+fn ratio(numerator: f64, denominator: f64) -> f64 {
+    numerator / denominator.max(1e-12)
+}
+
+/// One row of [`GATES`]: a guarantee `evaluate serve` checks on its
+/// artifact.
+pub struct Gate {
+    /// What the row requires.
+    pub name: &'static str,
+    /// The check on `BENCH_serve.json`; an error names every value it
+    /// compared.
+    pub check: fn(&Value) -> Result<(), String>,
+}
+
+/// Every guarantee `evaluate serve` checks, one row each, in arm order.
+/// A run checks every row on the artifact it wrote, prints each failing
+/// row, and fails if any did. Two rows time the service on the host
+/// that runs it: the observability overhead and the fleet against one
+/// serial node. Every other row holds on any host.
+pub const GATES: &[Gate] = &[
+    Gate {
+        name: "batched serving equals serial",
+        check: |a| holds(a, "batched_equals_serial"),
+    },
+    Gate {
+        name: "pipelined socket serving equals serial",
+        check: |a| holds(a, "pipelined_equals_serial"),
+    },
+    Gate {
+        name: "sharded serving equals per-request serial compilation",
+        check: |a| holds(a, "sharded.sharded_equals_serial"),
+    },
+    Gate {
+        name: "the traffic replay hits the cache",
+        check: |a| above(a, "cache.hit_rate", 0.0),
+    },
+    Gate {
+        name: "restarts serve the never-restarted payloads",
+        check: |a| holds(a, "restart.payloads_identical"),
+    },
+    Gate {
+        name: "the warmed restart beats the cold one",
+        check: |a| {
+            let warmed = num(a, "restart.warmed.hit_rate")?;
+            let cold = num(a, "restart.cold.hit_rate")?;
+            ensure(warmed > cold, || {
+                format!(
+                    "restart.warmed.hit_rate {warmed} is not above restart.cold.hit_rate {cold}"
+                )
+            })
+        },
+    },
+    Gate {
+        name: "the warmed restart hits pre-warmed entries",
+        check: |a| above(a, "restart.warmed.warm_hits", 0.0),
+    },
+    Gate {
+        name: "instrumentation leaves payloads unchanged",
+        check: |a| holds(a, "observability.payloads_identical"),
+    },
+    Gate {
+        name: "observability costs at most 5% (timing)",
+        check: |a| {
+            let overhead = num(a, "observability.overhead_frac")?;
+            ensure(overhead <= 0.05, || {
+                format!(
+                    "observability.overhead_frac {overhead:.4} exceeds 0.05 \
+                     (enabled_secs {} vs disabled_secs {})",
+                    at(a, "observability.enabled_secs").unwrap_or(&Value::Null),
+                    at(a, "observability.disabled_secs").unwrap_or(&Value::Null)
+                )
+            })
+        },
+    },
+    Gate {
+        name: "stage histograms account for the miss latency",
+        check: |a| at_least(a, "observability.stage_breakdown_frac", 0.9),
+    },
+    Gate {
+        name: "the instrumented replay writes a valid trace",
+        check: |a| {
+            holds(a, "observability.trace.valid")?;
+            above(a, "observability.trace.sampled_requests", 0.0)
+        },
+    },
+    Gate {
+        name: "fleet serving equals serial",
+        check: |a| holds(a, "fleet.payloads_identical"),
+    },
+    Gate {
+        name: "every routed key stays on one replica",
+        check: |a| holds(a, "fleet.locality_ok"),
+    },
+    Gate {
+        name: "the fleet hits as often as one node with the same cache",
+        check: |a| {
+            let fleet = num(a, "fleet.hit_rate")?;
+            let single = num(a, "fleet.single_node_hit_rate")?;
+            ensure(fleet >= single, || {
+                format!("fleet.hit_rate {fleet} is below fleet.single_node_hit_rate {single}")
+            })
+        },
+    },
+    // With one worker thread the replicas share a single core with the
+    // router, so beating the zero-I/O in-process serial replay is
+    // impossible by construction; the row applies once the host can
+    // run replicas in parallel.
+    Gate {
+        name: "the fleet does not lose to one serial node on a multi-core host (timing)",
+        check: |a| {
+            let (threads, vs_serial) = (num(a, "threads")?, num(a, "fleet.vs_serial")?);
+            ensure(threads <= 1.0 || vs_serial >= 1.0, || {
+                format!(
+                    "fleet.vs_serial {vs_serial:.3} is below 1 with {threads} threads \
+                     (fleet.secs {} vs timings.replay_serial_secs {})",
+                    at(a, "fleet.secs").unwrap_or(&Value::Null),
+                    at(a, "timings.replay_serial_secs").unwrap_or(&Value::Null)
+                )
+            })
+        },
+    },
+    // Losing 4x to serial means the router itself is broken, whatever
+    // the hardware.
+    Gate {
+        name: "the fleet loses at most 4x to one serial node",
+        check: |a| at_least(a, "fleet.vs_serial", 0.25),
+    },
+    Gate {
+        name: "the fleet fails no request",
+        check: |a| at_most(a, "fleet.errors", 0.0),
+    },
+    Gate {
+        name: "the retrain loop promotes, swaps and serves fresh answers",
+        check: |a| holds(a, "retrain.loop_ok"),
+    },
+    Gate {
+        name: "a dynamic device leaves built-in payloads unchanged",
+        check: |a| holds(a, "dynamic_devices.builtin_parity"),
+    },
+    Gate {
+        name: "calibration changes every calibration-keyed payload",
+        check: |a| {
+            let changed = num(a, "dynamic_devices.changed")?;
+            let expected = num(a, "dynamic_devices.expected_changed")?;
+            ensure(expected > 0.0 && changed == expected, || {
+                format!(
+                    "dynamic_devices.changed {changed} of dynamic_devices.expected_changed \
+                     {expected} (all must change, and there must be some)"
+                )
+            })
+        },
+    },
+    Gate {
+        name: "calibration changes no other payload",
+        check: |a| holds(a, "dynamic_devices.others_identical"),
+    },
+    Gate {
+        name: "calibration invalidates cached entries",
+        check: |a| above(a, "dynamic_devices.calibration.invalidated", 0.0),
+    },
+    Gate {
+        name: "calibration fails no request",
+        check: |a| at_most(a, "dynamic_devices.errors", 0.0),
+    },
+];
+
+/// The value at a dotted key path of the artifact.
+fn at<'a>(artifact: &'a Value, path: &str) -> Result<&'a Value, String> {
+    path.split('.')
+        .try_fold(artifact, |value, key| value.get(key))
+        .ok_or_else(|| format!("{path} is missing"))
+}
+
+/// The number at `path`.
+fn num(artifact: &Value, path: &str) -> Result<f64, String> {
+    let value = at(artifact, path)?;
+    value
+        .as_f64()
+        .ok_or_else(|| format!("{path} is {value}, not a number"))
+}
+
+/// Requires the number at `path` to exceed `limit`.
+fn above(artifact: &Value, path: &str, limit: f64) -> Result<(), String> {
+    let value = num(artifact, path)?;
+    ensure(value > limit, || {
+        format!("{path} is {value}, not above {limit}")
+    })
+}
+
+/// Requires the number at `path` to be at least `limit`.
+fn at_least(artifact: &Value, path: &str, limit: f64) -> Result<(), String> {
+    let value = num(artifact, path)?;
+    ensure(value >= limit, || {
+        format!("{path} is {value}, below {limit}")
+    })
+}
+
+/// Requires the number at `path` to be at most `limit`.
+fn at_most(artifact: &Value, path: &str, limit: f64) -> Result<(), String> {
+    let value = num(artifact, path)?;
+    ensure(value <= limit, || {
+        format!("{path} is {value}, above {limit}")
+    })
+}
+
+/// Requires `path` to hold `true`.
+fn holds(artifact: &Value, path: &str) -> Result<(), String> {
+    let value = at(artifact, path)?;
+    ensure(*value == Value::Bool(true), || format!("{path} is {value}"))
+}
+
+/// `Ok` when `ok` holds, else the message `failure` writes.
+fn ensure(ok: bool, failure: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(failure())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::BENCH_SCHEMA_VERSION;
+    use crate::report::{bench_eval_value, bench_serve_value, ThroughputReport};
+    use crate::{EvalTiming, Evaluation};
+
+    /// The committed default-scale artifact.
+    const COMMITTED: &str = include_str!("../../../BENCH_serve.json");
+
+    /// Replaces the value at a dotted key path.
+    fn set(artifact: &mut Value, path: &str, value: Value) {
+        let mut node = artifact;
+        for key in path.split('.') {
+            let Value::Object(pairs) = node else {
+                panic!("{path} runs through a non-object");
+            };
+            node = pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .unwrap_or_else(|| panic!("{path} is missing"));
+        }
+        *node = value;
+    }
+
+    #[test]
+    fn every_gate_reads_the_committed_artifact() {
+        let artifact = serde_json::from_str(COMMITTED).expect("the committed artifact parses");
+        for gate in GATES {
+            assert_eq!((gate.check)(&artifact), Ok(()), "{}", gate.name);
+        }
+        // Each row fails once a value it reads is pushed past its
+        // threshold, and says which value.
+        let read = |path| num(&artifact, path).unwrap();
+        let cases: Vec<(usize, &str, Value)> = vec![
+            (0, "batched_equals_serial", false.into()),
+            (1, "pipelined_equals_serial", false.into()),
+            (2, "sharded.sharded_equals_serial", false.into()),
+            (3, "cache.hit_rate", 0.0.into()),
+            (4, "restart.payloads_identical", false.into()),
+            (
+                5,
+                "restart.warmed.hit_rate",
+                read("restart.cold.hit_rate").into(),
+            ),
+            (6, "restart.warmed.warm_hits", 0u64.into()),
+            (7, "observability.payloads_identical", false.into()),
+            (8, "observability.overhead_frac", 0.0501.into()),
+            (9, "observability.stage_breakdown_frac", 0.899.into()),
+            (10, "observability.trace.valid", false.into()),
+            (10, "observability.trace.sampled_requests", 0u64.into()),
+            (11, "fleet.payloads_identical", false.into()),
+            (12, "fleet.locality_ok", false.into()),
+            (
+                13,
+                "fleet.hit_rate",
+                (read("fleet.single_node_hit_rate") - 1e-9).into(),
+            ),
+            (14, "fleet.vs_serial", 0.999.into()),
+            (15, "fleet.vs_serial", 0.249.into()),
+            (16, "fleet.errors", 1u64.into()),
+            (17, "retrain.loop_ok", false.into()),
+            (18, "dynamic_devices.builtin_parity", false.into()),
+            (
+                19,
+                "dynamic_devices.changed",
+                (read("dynamic_devices.expected_changed") - 1.0).into(),
+            ),
+            (19, "dynamic_devices.expected_changed", 0u64.into()),
+            (20, "dynamic_devices.others_identical", false.into()),
+            (21, "dynamic_devices.calibration.invalidated", 0u64.into()),
+            (22, "dynamic_devices.errors", 1u64.into()),
+        ];
+        assert_eq!(GATES.len(), 23);
+        for (row, gate) in GATES.iter().enumerate() {
+            assert!(
+                cases.iter().any(|(case, ..)| *case == row),
+                "no case pushes `{}` past its threshold",
+                gate.name
+            );
+        }
+        for (row, path, value) in cases {
+            let mut copy = artifact.clone();
+            set(&mut copy, path, value);
+            let message = (GATES[row].check)(&copy).expect_err(path);
+            assert!(
+                message.contains(path),
+                "`{}` failed with `{message}`",
+                GATES[row].name
+            );
+        }
+        // The multi-core fleet row does not apply on one thread; the
+        // 4x floor does.
+        let mut single = artifact.clone();
+        set(&mut single, "threads", 1u64.into());
+        set(&mut single, "fleet.vs_serial", 0.5.into());
+        for gate in GATES {
+            assert_eq!((gate.check)(&single), Ok(()), "{}", gate.name);
+        }
+
+        // Assembling the arms' blocks gives back the artifact, schema
+        // stamp and settings included, with every key in its place.
+        let Value::Object(pairs) = artifact.clone() else {
+            panic!("the artifact is an object");
+        };
+        let names = [
+            "sharded",
+            "restart",
+            "observability",
+            "fleet",
+            "retrain",
+            "dynamic_devices",
+        ];
+        let fields = pairs
             .iter()
-            .find(|replica| replica.addr == addrs[index])
+            .filter(|(key, _)| !["benchmark", "schema_version", "settings"].contains(&key.as_str()))
+            .filter(|(key, _)| !names.contains(&key.as_str()))
             .cloned()
-            .unwrap_or_else(|| ReplicaStats {
-                addr: addrs[index].clone(),
-                ..ReplicaStats::default()
-            });
-        rerouted += replica.rerouted;
-        stats.push(FleetReplicaStat {
-            addr: replica.addr,
-            routed: replica.routed,
-            completed: replica.completed,
-            rerouted: replica.rerouted,
-            ejections: replica.ejections,
-            hits: metrics.cache.hits,
-            misses: metrics.cache.misses,
-        });
-    }
-    for flag in &flags {
-        flag.request();
-    }
-    for server in servers {
-        server
-            .join()
-            .expect("replica thread panicked")
-            .expect("replica front end failed");
+            .collect();
+        let mut blocks = vec![("replay", Value::Object(fields))];
+        blocks.extend(names.map(|name| (name, artifact.get(name).unwrap().clone())));
+        let settings = EvalSettings {
+            verbose: false,
+            ..EvalSettings::default()
+        };
+        let serve = bench_serve_value(blocks, &settings);
+        assert_eq!(serde_json::to_string_pretty(&serve) + "\n", COMMITTED);
+
+        // Both artifacts carry the schema version and name the device.
+        let eval = bench_eval_value(
+            &Evaluation {
+                circuits: vec![],
+                settings,
+                timing: EvalTiming {
+                    train_secs: 1.0,
+                    score_secs: 0.5,
+                },
+            },
+            &ThroughputReport {
+                circuits: 10,
+                threads: 4,
+                serial_secs: 1.0,
+                parallel_secs: 0.25,
+                results_identical: true,
+            },
+        );
+        for artifact in [&serve, &eval] {
+            assert_eq!(
+                at(artifact, "schema_version"),
+                Ok(&Value::from(BENCH_SCHEMA_VERSION))
+            );
+            assert_eq!(
+                at(artifact, "settings.device"),
+                Ok(&Value::from("ibmq_washington"))
+            );
+        }
+
+        // The per-shard block keeps its keys, in order, with `routed`
+        // derived from the outcomes.
+        let shard = ShardCounterSnapshot {
+            shard: "fidelity/any/narrow".into(),
+            counters: qrc_serve::ShardCounters {
+                hits: 70,
+                misses: 60,
+                coalesced: 50,
+                errors: 0,
+            },
+        };
+        assert_eq!(
+            serde_json::to_string(&shard.to_value()),
+            r#"{"shard":"fidelity/any/narrow","routed":180,"hit":70,"miss":60,"coalesced":50,"errors":0}"#
+        );
+        for shard in at(&serve, "sharded.shards").unwrap().as_array().unwrap() {
+            let keys: Vec<&str> = shard
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect();
+            assert_eq!(
+                keys,
+                ["shard", "routed", "hit", "miss", "coalesced", "errors"]
+            );
+        }
     }
 
-    FleetOutcome {
-        replicas,
-        secs,
-        identical,
-        errors,
-        hits,
-        misses,
-        locality_ok,
-        round_robin,
-        rerouted,
-        stats,
+    #[test]
+    fn collate_counts_each_failed_request_once() {
+        let reply = |line: &str| serde_json::from_str(line).unwrap();
+        let (slots, failed) = collate(
+            vec![
+                reply(r#"{"id":"req-1","ok":true}"#),
+                reply(r#"{"id":"req-0","ok":false,"error":"boom"}"#),
+                reply(r#"{"id":null,"ok":false,"error":"overloaded"}"#),
+            ],
+            3,
+        );
+        assert_eq!(failed, 2);
+        assert!(slots[0].is_some() && slots[1].is_some() && slots[2].is_none());
+        // A missing reply fails its request; a duplicate is not placed.
+        let (_, failed) = collate(
+            vec![
+                reply(r#"{"id":"req-0","ok":true}"#),
+                reply(r#"{"id":"req-0","ok":true}"#),
+            ],
+            2,
+        );
+        assert_eq!(failed, 1);
     }
 }

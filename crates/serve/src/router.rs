@@ -106,10 +106,12 @@ impl Default for RouterConfig {
 }
 
 /// One request the router has forwarded and not yet seen answered:
-/// the raw line (so an ejection can re-route it), its routing key, and
-/// the client to answer.
+/// the raw line (so an ejection can re-route it), the `id` and routing
+/// key its one decode found (see [`decode_route`]), and the client to
+/// answer.
 struct Ticket {
     line: String,
+    id: Option<String>,
     key: Option<u64>,
     reply: ReplySink,
 }
@@ -405,8 +407,13 @@ impl FleetRouter {
             |inbound, reply| {
                 match inbound {
                     Inbound::Request(line) => {
-                        let key = routing_key(&line);
-                        self.forward(line, key, reply);
+                        let (id, key) = decode_route(&line);
+                        self.forward(Ticket {
+                            line,
+                            id,
+                            key,
+                            reply: reply.clone(),
+                        });
                     }
                     Inbound::Control(ControlRequest::Stats, _) => {
                         reply.send(serde_json::to_string(&self.merged_stats()));
@@ -438,10 +445,11 @@ impl FleetRouter {
 
     // ----- data path --------------------------------------------------
 
-    /// Forwards one request line: consistent-hash on its key, round-
-    /// robin without one, retrying across ejections until a replica
-    /// accepts it or the ring is empty.
-    fn forward(self: &Arc<Self>, mut line: String, key: Option<u64>, reply: &ReplySink) {
+    /// Forwards one request: consistent-hash on its key, round-robin
+    /// without one, retrying across ejections until a replica accepts
+    /// it or the ring is empty.
+    fn forward(self: &Arc<Self>, mut ticket: Ticket) {
+        let key = ticket.key;
         if key.is_none() {
             self.counters.round_robin.fetch_add(1, Ordering::Relaxed);
         }
@@ -452,12 +460,12 @@ impl FleetRouter {
             };
             let Some(index) = target else {
                 self.counters.unroutable.fetch_add(1, Ordering::Relaxed);
-                let id = ServeRequest::recover_id(&line);
-                let response = ServeResponse::rejected(id, "unavailable: no healthy replicas");
-                reply.send(response.to_line());
+                let response =
+                    ServeResponse::rejected(ticket.id, "unavailable: no healthy replicas");
+                ticket.reply.send(response.to_line());
                 return;
             };
-            match self.try_send(index, line, key, reply) {
+            match self.try_send(index, ticket) {
                 Ok(()) => {
                     if self.config.record_routes {
                         if let Some(k) = key {
@@ -472,60 +480,49 @@ impl FleetRouter {
                 }
                 // The target was ejected under us; the ring has moved
                 // its arcs, so re-route.
-                Err(returned) => line = returned,
+                Err(returned) => ticket = returned,
             }
         }
     }
 
-    /// Queues one line into `index`'s bounded window and writes it on
-    /// the data connection. Blocks while the window is full (lossless
-    /// back-pressure toward the client). Hands the line back when the
-    /// replica is (or becomes) unavailable.
+    /// Writes one ticket's line on `index`'s data connection and queues
+    /// the ticket in its bounded window. Blocks while the window is full
+    /// (lossless back-pressure toward the client). Hands the ticket back
+    /// when the replica is (or becomes) unavailable.
     #[allow(clippy::result_large_err)]
-    fn try_send(
-        self: &Arc<Self>,
-        index: usize,
-        line: String,
-        key: Option<u64>,
-        reply: &ReplySink,
-    ) -> Result<(), String> {
+    fn try_send(self: &Arc<Self>, index: usize, ticket: Ticket) -> Result<(), Ticket> {
         let replica = &self.replicas[index];
-        let mut state = replica.state.lock().expect("replica lock poisoned");
+        let mut guard = replica.state.lock().expect("replica lock poisoned");
         loop {
-            if state.writer.is_none() || !replica.healthy.load(Ordering::SeqCst) {
-                return Err(line);
+            if guard.writer.is_none() || !replica.healthy.load(Ordering::SeqCst) {
+                return Err(ticket);
             }
-            if state.pending.len() < self.config.window.max(1) {
+            if guard.pending.len() < self.config.window.max(1) {
                 break;
             }
             let (next, _) = replica
                 .window_open
-                .wait_timeout(state, Duration::from_millis(100))
+                .wait_timeout(guard, Duration::from_millis(100))
                 .expect("replica lock poisoned");
-            state = next;
+            guard = next;
         }
-        state.pending.push_back(Ticket {
-            line: line.clone(),
-            key,
-            reply: reply.clone(),
-        });
+        let state = &mut *guard;
         let generation = state.generation;
         let writer = state.writer.as_mut().expect("writer checked above");
-        let wrote = writeln!(writer, "{line}").and_then(|()| writer.flush());
-        match wrote {
+        match writeln!(writer, "{}", ticket.line).and_then(|()| writer.flush()) {
             Ok(()) => {
+                // The lock is held until the ticket is queued, so the
+                // reader cannot meet its reply first.
+                state.pending.push_back(ticket);
                 replica.routed.fetch_add(1, Ordering::Relaxed);
-                drop(state);
                 Ok(())
             }
             Err(_) => {
-                // Undo our own enqueue (the lock was held throughout,
-                // so the back element is ours), then eject: the ring
-                // loses this replica and the caller re-routes.
-                state.pending.pop_back();
-                drop(state);
+                // Eject: the ring loses this replica and the caller
+                // re-routes.
+                drop(guard);
                 self.eject(replica, generation);
-                Err(line)
+                Err(ticket)
             }
         }
     }
@@ -653,7 +650,7 @@ impl FleetRouter {
         }
         for ticket in pending {
             replica.rerouted.fetch_add(1, Ordering::Relaxed);
-            self.forward(ticket.line, ticket.key, &ticket.reply);
+            self.forward(ticket);
         }
     }
 
@@ -793,27 +790,37 @@ fn failed(error: String) -> Value {
     ])
 }
 
-/// Extracts the consistent-hash routing key from a request line:
-/// parse the request, parse its QASM, then mix the circuit's
-/// `structural_hash` with the resolved shard tag. `None` (→ round-
-/// robin) when any stage fails — the replica still answers the line,
-/// producing the same error payload a single node would.
-fn routing_key(line: &str) -> Option<u64> {
-    let request = ServeRequest::parse(line).ok()?;
-    let circuit = qrc_circuit::qasm::from_qasm(&request.qasm).ok()?;
-    let tag =
-        ShardKey::for_request(request.objective, request.device_pin, circuit.num_qubits()).tag();
-    Some(mix_key(circuit.structural_hash(), tag))
+/// Decodes a forwarded request line once, for its `id` (the one
+/// [`ServeRequest::recover_id`] reads, also from a rejected line) and
+/// its consistent-hash routing key: the circuit's `structural_hash`
+/// mixed with the resolved shard tag. The key is `None` (→ round-robin)
+/// when the request or its QASM does not parse — the replica still
+/// answers the line, producing the same error payload a single node
+/// would.
+fn decode_route(line: &str) -> (Option<String>, Option<u64>) {
+    let request = match ServeRequest::decode(line) {
+        Ok(request) => request,
+        Err((id, _)) => return (id, None),
+    };
+    let key = qrc_circuit::qasm::from_qasm(&request.qasm)
+        .ok()
+        .map(|circuit| {
+            let width = circuit.num_qubits();
+            let tag = ShardKey::for_request(request.objective, request.device_pin, width).tag();
+            mix_key(circuit.structural_hash(), tag)
+        });
+    (request.id, key)
 }
 
 /// Removes the pending ticket whose request `id` matches the one
 /// echoed on `line` (an overtaking `overloaded` rejection); falls back
-/// to the FIFO head when no id matches.
+/// to the FIFO head when no id matches. Only `line` is decoded: each
+/// ticket keeps the id its request was decoded with.
 fn take_by_id(pending: &mut VecDeque<Ticket>, line: &str) -> Option<Ticket> {
     if let Some(id) = ServeRequest::recover_id(line) {
         if let Some(at) = pending
             .iter()
-            .position(|t| ServeRequest::recover_id(&t.line).as_deref() == Some(id.as_str()))
+            .position(|t| t.id.as_deref() == Some(id.as_str()))
         {
             return pending.remove(at);
         }
@@ -891,8 +898,8 @@ mod tests {
 
     #[test]
     fn routing_key_none_for_unparsable_lines() {
-        assert_eq!(routing_key("not json"), None);
-        assert_eq!(routing_key(r#"{"id":"a","qasm":"h q[0];"}"#), None);
+        assert_eq!(decode_route("not json").1, None);
+        assert_eq!(decode_route(r#"{"id":"a","qasm":"h q[0];"}"#).1, None);
     }
 
     #[test]
@@ -906,11 +913,51 @@ mod tests {
                 ("objective", Value::from(objective)),
             ]))
         };
-        let depth = routing_key(&line("critical_depth")).unwrap();
-        assert_eq!(routing_key(&line("critical_depth")).unwrap(), depth);
+        let key = |objective: &str| decode_route(&line(objective)).1.unwrap();
+        let depth = key("critical_depth");
+        assert_eq!(key("critical_depth"), depth);
         // Same circuit, different objective → different shard tag →
         // different routing key.
-        assert_ne!(routing_key(&line("fidelity")).unwrap(), depth);
+        assert_ne!(key("fidelity"), depth);
+    }
+
+    #[test]
+    fn stored_id_is_the_recovered_id() {
+        let qasm = serde_json::to_string(&Value::from(qrc_circuit::qasm::to_qasm(
+            &qrc_benchgen::BenchmarkFamily::Ghz.generate(3),
+        )));
+        let valid = [
+            format!(r#"{{"id":"with-id","qasm":{qasm}}}"#),
+            format!(r#"{{"qasm":{qasm},"objective":"critical_depth"}}"#),
+            format!(r#"{{"id":"first","qasm":{qasm},"id":"second"}}"#),
+        ];
+        for line in &valid {
+            let (id, key) = decode_route(line);
+            assert!(key.is_some(), "{line} is a valid request");
+            assert_eq!(id, ServeRequest::recover_id(line), "{line}");
+        }
+        assert_eq!(decode_route(&valid[2]).0.as_deref(), Some("first"));
+        // Every rejection class `request_fuzz.rs` checks `decode` on.
+        for line in [
+            r#"{"id":"no-qasm"}"#,
+            r#"{"qasm":5,"id":"mistyped-qasm"}"#,
+            r#"{"id":"objective","qasm":"x","objective":"speed"}"#,
+            r#"{"id":"device","qasm":"x","device":"nowhere"}"#,
+            r#"{"id":"mistyped","qasm":"x","objective":7}"#,
+            r#"{"id":7,"qasm":"x"}"#,
+            r#"{"id":7}"#,
+            r#"{"id":"first","id":8,"qasm":"x","device":"nowhere"}"#,
+            r#"{"id":"control","cmd":"reboot"}"#,
+            r#"{"cmd":"calibrate","id":"calibrate"}"#,
+            "[1]",
+            "not json",
+        ] {
+            assert_eq!(
+                decode_route(line),
+                (ServeRequest::recover_id(line), None),
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -951,9 +998,12 @@ mod tests {
         };
         let mut pending = VecDeque::new();
         for id in ["a", "b", "c"] {
+            let line = format!(r#"{{"id":"{id}","qasm":"x"}}"#);
+            let (id, key) = decode_route(&line);
             pending.push_back(Ticket {
-                line: format!(r#"{{"id":"{id}","qasm":"x"}}"#),
-                key: None,
+                line,
+                id,
+                key,
                 reply: sink.clone(),
             });
         }
