@@ -9,9 +9,8 @@
 //! the policy network.
 
 use crate::circuit::QuantumCircuit;
-use crate::dag::CircuitDag;
 use crate::gate::Gate;
-use crate::metrics;
+use crate::metrics::{self, AsapScan};
 
 /// Number of entries in a [`FeatureVector`].
 pub const NUM_FEATURES: usize = 7;
@@ -52,12 +51,12 @@ impl FeatureVector {
     /// Extracts all seven features from `circuit`.
     pub fn of(circuit: &QuantumCircuit) -> Self {
         let n = circuit.num_qubits() as f64;
-        let dag = CircuitDag::new(circuit);
-        let depth = dag.depth();
+        let scan = AsapScan::of(circuit);
+        let depth = scan.depth;
 
         // Unitary-gate statistics (directives excluded).
-        let num_gates = circuit.num_gates();
-        let num_2q = circuit.num_two_qubit_gates();
+        let num_gates = scan.num_gates;
+        let num_2q = scan.num_two_qubit_gates;
 
         let program_communication = if n >= 2.0 {
             let degrees = metrics::interaction_degrees(circuit);
@@ -83,19 +82,7 @@ impl FeatureVector {
 
         let liveness = if depth > 0 && n >= 1.0 {
             // A qubit is live in a layer if some op in that layer touches it.
-            let mut live = 0usize;
-            for layer in dag.layers() {
-                let mut seen = vec![false; circuit.num_qubits() as usize];
-                for &i in layer {
-                    for q in circuit.ops()[i].qubits.iter() {
-                        if !seen[q.index()] {
-                            seen[q.index()] = true;
-                            live += 1;
-                        }
-                    }
-                }
-            }
-            live as f64 / (n * depth as f64)
+            scan.live_pairs as f64 / (n * depth as f64)
         } else {
             0.0
         };

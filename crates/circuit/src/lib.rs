@@ -10,8 +10,7 @@
 //!   and produces (the paper's "unified interface"),
 //! * [`Gate`] — the gate set (with matrices, inverses, Clifford/diagonal
 //!   predicates),
-//! * [`CircuitDag`] — dependency analysis, layers, critical path,
-//! * [`metrics`] — depth, two-qubit depth, critical depth,
+//! * [`metrics`] — depth, critical depth, interaction degrees,
 //! * [`FeatureVector`] — the seven observation features for the RL agent,
 //! * [`commute`] — exact and rule-based commutation checking,
 //! * [`qasm`] — OpenQASM 2 emit/parse,
@@ -36,7 +35,6 @@
 
 mod circuit;
 pub mod commute;
-mod dag;
 mod error;
 pub mod features;
 mod gate;
@@ -47,7 +45,6 @@ pub mod qasm;
 pub mod strategies;
 
 pub use circuit::{Operation, Qargs, QuantumCircuit, Qubit};
-pub use dag::{CircuitDag, OpIndex};
 pub use error::CircuitError;
 pub use features::{FeatureVector, NUM_FEATURES};
 pub use gate::{normalize_angle, normalize_angle_4pi, Gate, Params, ANGLE_TOL};

@@ -8,7 +8,7 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`circuit`] — circuit IR, DAG analysis, features, OpenQASM 2,
+//! * [`circuit`] — circuit IR, structural metrics, features, OpenQASM 2,
 //! * [`sim`] — statevector simulation and equivalence checking,
 //! * [`device`] — the five target devices with synthetic calibration,
 //! * [`passes`] — synthesis, layout, routing, and optimization passes,
