@@ -10,7 +10,6 @@
 //!    policy and a greedy one-step heuristic.
 
 use qrc_benchgen::paper_suite;
-use qrc_device::Device;
 use qrc_predictor::{
     Action, CompilationEnv, CompilationFlow, InvalidActionMode, ObservationMode, PredictorConfig,
     RewardKind, MAX_EPISODE_STEPS, OBS_DIM,
@@ -277,14 +276,6 @@ pub fn run_ablations(settings: &AblationSettings) -> Vec<AblationResult> {
         arms.par_iter().map(run_one).collect()
     } else {
         arms.iter().map(run_one).collect()
-    }
-}
-
-/// Verifies a compiled flow is executable — shared sanity helper.
-pub fn flow_is_valid(flow: &CompilationFlow) -> bool {
-    match flow.device() {
-        Some(dev) => Device::get(dev.id()).check_executable(flow.circuit()),
-        None => false,
     }
 }
 

@@ -37,8 +37,8 @@ use qrc_circuit::qasm::to_qasm;
 use qrc_predictor::{task_seed, RewardKind, TrainedPredictor};
 use qrc_serve::{
     bind_ephemeral, head_of_distribution_counts, run_retrain, serve_socket, synthetic_mix,
-    CacheStats, CacheStatus, CompilationService, DeviceClass, FleetRouter, FrontendConfig,
-    ModelRegistry, QueuedLine, RetrainConfig, RouterConfig, ServeRequest, ServeResponse,
+    CacheStatus, CompilationService, DeviceClass, FleetRouter, FrontendConfig, MetricsSnapshot,
+    ModelRegistry, QueuedLine, RetrainConfig, RouterConfig, Scope, ServeRequest, ServeResponse,
     ServiceConfig, ShardCounterSnapshot, ShardKey, ShutdownFlag, Stage, TrafficConfig, WidthBand,
 };
 use serde_json::Value;
@@ -202,14 +202,7 @@ fn replay_arm(
                 ),
             ]),
         ),
-        (
-            "cache",
-            Value::object(vec![
-                ("hits", Value::from(metrics.cache.hits)),
-                ("misses", Value::from(metrics.cache.misses)),
-                ("hit_rate", Value::from(metrics.cache.hit_rate())),
-            ]),
-        ),
+        ("cache", cache_rows(&metrics, Value::Object(Vec::new()))),
         (
             "latency_us",
             Value::object(vec![
@@ -388,25 +381,15 @@ fn restart_arm(
         replay(mix, serve.batch_size, |chunk| warmed.handle_batch(chunk));
     std::fs::remove_dir_all(&dir).ok();
 
-    let counters = |secs: f64, cache: &CacheStats| {
-        vec![
-            ("replay_secs", Value::from(secs)),
-            ("hits", Value::from(cache.hits)),
-            ("misses", Value::from(cache.misses)),
-            ("hit_rate", Value::from(cache.hit_rate())),
-        ]
+    let block = |secs: f64, service: &CompilationService| {
+        let timing = Value::object(vec![("replay_secs", Value::from(secs))]);
+        cache_rows(&service.metrics(), timing)
     };
-    let warmed_cache = warmed.metrics().cache;
-    let mut warmed_block = counters(warmed_secs, &warmed_cache);
-    warmed_block.push(("warm_hits", Value::from(warmed_cache.warm_hits)));
     Value::object(vec![
         ("requests", Value::from(mix.len())),
         ("snapshot_entries", Value::from(snapshot.entries)),
-        (
-            "cold",
-            Value::object(counters(cold_secs, &cold.metrics().cache)),
-        ),
-        ("warmed", Value::object(warmed_block)),
+        ("cold", block(cold_secs, &cold)),
+        ("warmed", block(warmed_secs, &warmed)),
         ("warmed_vs_cold", Value::from(ratio(cold_secs, warmed_secs))),
         (
             "payloads_identical",
@@ -630,23 +613,21 @@ fn fleet_arm(
     let route_log = router.route_log();
 
     let (mut hits, mut misses, mut rerouted) = (0, 0, 0);
+    let routing = MetricsSnapshot {
+        replicas: router.replica_counters(),
+        ..MetricsSnapshot::default()
+    };
     let mut per_replica = Vec::with_capacity(REPLICAS);
-    for (counters, (service, _, stop, server)) in
-        router.replica_counters().into_iter().zip(replicas)
+    for (item, (counters, (service, _, stop, server))) in
+        routing.replicas.iter().zip(replicas).enumerate()
     {
-        let cache = service.metrics().cache;
-        hits += cache.hits;
-        misses += cache.misses;
+        let metrics = service.metrics();
+        hits += metrics.cache.hits;
+        misses += metrics.cache.misses;
         rerouted += counters.rerouted;
-        per_replica.push(Value::object(vec![
-            ("addr", Value::from(counters.addr)),
-            ("routed", Value::from(counters.routed)),
-            ("completed", Value::from(counters.completed)),
-            ("rerouted", Value::from(counters.rerouted)),
-            ("ejections", Value::from(counters.ejections)),
-            ("hits", Value::from(cache.hits)),
-            ("misses", Value::from(cache.misses)),
-        ]));
+        let mut replica = Value::object(vec![("addr", Value::from(counters.addr.clone()))]);
+        routing.write_rows(Scope::Replica, item, &[], &mut replica);
+        per_replica.push(cache_rows(&metrics, replica));
         stop.request();
         server
             .join()
@@ -1165,6 +1146,13 @@ fn same_payloads(a: &[ServeResponse], b: &[ServeResponse]) -> bool {
         && a.iter()
             .zip(b)
             .all(|(a, b)| a.payload_value() == b.payload_value())
+}
+
+/// `block` with the node's `cache` rows of `snapshot` added at its top
+/// level, as the metric table renders them.
+fn cache_rows(snapshot: &MetricsSnapshot, mut block: Value) -> Value {
+    snapshot.write_rows(Scope::Node, 0, &["cache"], &mut block);
+    block
 }
 
 /// `numerator / denominator`, with the denominator floored at 1e-12 so

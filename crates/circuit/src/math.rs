@@ -266,19 +266,6 @@ impl CMatrix {
         m
     }
 
-    /// Builds a matrix from a flat row-major slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` is not `dim * dim`.
-    pub fn from_flat(dim: usize, data: &[Complex]) -> Self {
-        assert_eq!(data.len(), dim * dim, "flat data length must be dim²");
-        CMatrix {
-            dim,
-            data: data.to_vec(),
-        }
-    }
-
     /// Matrix dimension (number of rows = number of columns).
     #[inline]
     pub fn dim(&self) -> usize {

@@ -12,8 +12,9 @@
 //!   reward),
 //! * [`RewardKind`] — expected fidelity, critical depth, combination,
 //! * [`Baseline`] — Qiskit-O3-like and TKET-O2-like reference pipelines,
-//! * [`train`] / [`TrainedPredictor`] — PPO training and greedy-rollout
-//!   compilation.
+//! * [`train`] / [`TrainedPredictor`] — PPO training, and compilation
+//!   by one lockstep greedy rollout: a single request is a batch of
+//!   one, and the entropy probes observe the same loop.
 //!
 //! # Examples
 //!

@@ -6,7 +6,9 @@ use crate::flow::{CompilationFlow, FlowError, MaskSignature};
 use crate::reward::RewardKind;
 use qrc_circuit::QuantumCircuit;
 use qrc_device::{Device, DeviceId};
-use qrc_rl::{greedy_from_logits, PpoAgent, PpoConfig, TrainStats};
+use qrc_rl::{
+    distribution_entropy, greedy_from_logits, masked_softmax, PpoAgent, PpoConfig, TrainStats,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -203,13 +205,6 @@ pub struct BatchCompileRequest<'a> {
     pub seed: u64,
 }
 
-/// A batch-stepping lane: one in-flight flow plus the index of the
-/// request it answers.
-struct Lane {
-    item: usize,
-    flow: CompilationFlow,
-}
-
 impl TrainedPredictor {
     /// The objective this model was trained for.
     pub fn reward(&self) -> RewardKind {
@@ -359,44 +354,39 @@ impl TrainedPredictor {
     /// action scores ≈0 on every state it visits, however healthy its
     /// reward looks on the curriculum it collapsed to.
     pub fn rollout_entropy(&self, circuit: &QuantumCircuit) -> f64 {
-        let all = Action::all();
-        let mut flow = CompilationFlow::new(circuit.clone(), self.seed);
-        let mut sum = 0.0;
-        let mut states = 0usize;
-        for _ in 0..MAX_EPISODE_STEPS {
-            if flow.is_done() {
-                break;
-            }
-            let mask = flow.action_mask();
-            if !mask.iter().any(|&m| m) {
-                break;
-            }
-            let obs = observation_of(&flow);
-            sum += self.agent.policy_entropy(&obs, &mask);
-            states += 1;
-            let choice = self.agent.act_greedy(&obs, &mask);
-            if flow.apply(all[choice]).is_err() {
-                break;
-            }
-        }
-        if states == 0 {
-            0.0
-        } else {
-            sum / states as f64
-        }
+        self.rollout_entropies(std::slice::from_ref(circuit))[0]
     }
 
     /// Mean [`Self::rollout_entropy`] over a circuit slice (0 for an
-    /// empty slice).
+    /// empty slice), from one rollout over the whole slice.
     pub fn mean_rollout_entropy(&self, circuits: &[QuantumCircuit]) -> f64 {
         if circuits.is_empty() {
             return 0.0;
         }
-        circuits
+        self.rollout_entropies(circuits).into_iter().sum::<f64>() / circuits.len() as f64
+    }
+
+    /// [`Self::rollout_entropy`] of each circuit.
+    fn rollout_entropies(&self, circuits: &[QuantumCircuit]) -> Vec<f64> {
+        let flows = circuits
             .iter()
-            .map(|c| self.rollout_entropy(c))
-            .sum::<f64>()
-            / circuits.len() as f64
+            .map(|c| CompilationFlow::new(c.clone(), self.seed))
+            .collect();
+        let mut sums = vec![(0.0, 0usize); circuits.len()];
+        self.rollout(flows, |lane, logits, mask| {
+            let (sum, states) = &mut sums[lane];
+            *sum += distribution_entropy(&masked_softmax(logits, mask));
+            *states += 1;
+        });
+        sums.into_iter()
+            .map(|(sum, states)| {
+                if states == 0 {
+                    0.0
+                } else {
+                    sum / states as f64
+                }
+            })
+            .collect()
     }
 
     /// Compiles a circuit by greedy rollout of the learned policy.
@@ -405,15 +395,7 @@ impl TrainedPredictor {
     /// *Done* state within the step budget, the outcome carries reward 0
     /// and the partially compiled circuit.
     pub fn compile(&self, circuit: &QuantumCircuit) -> CompilationOutcome {
-        self.compile_with_seed(circuit, self.seed)
-    }
-
-    /// Like [`TrainedPredictor::compile`] but with an explicit seed for
-    /// the stochastic passes. Serving derives the seed from the request
-    /// *content*, which makes results independent of arrival order and
-    /// thread scheduling.
-    pub fn compile_with_seed(&self, circuit: &QuantumCircuit, seed: u64) -> CompilationOutcome {
-        self.rollout(circuit, self.reward, seed)
+        self.compile_scored(circuit, self.reward)
     }
 
     /// Compiles with this model but scores the result under `metric`
@@ -424,94 +406,77 @@ impl TrainedPredictor {
         metric: RewardKind,
     ) -> CompilationOutcome {
         let flow = CompilationFlow::new(circuit.clone(), self.seed);
-        self.finish_rollout(flow, metric)
+        let flow = self.rollout(vec![flow], |_, _, _| {}).remove(0);
+        self.outcome_of(flow, metric)
     }
 
-    /// Compiles for a *pinned* target device: the platform and device
-    /// selection steps are forced, then the learned policy takes over
-    /// for synthesis, layout, routing, and optimization. Used by the
-    /// serving layer when a request pins its hardware target. Pinning
-    /// goes through [`CompilationFlow::pin_device`], so dynamic
+    /// Compiles one request with an explicit seed for the stochastic
+    /// passes: pinned when the request named a device, free policy
+    /// rollout otherwise. Serving derives the seed from the request
+    /// *content*, which makes results independent of arrival order and
+    /// thread scheduling. This is a batch of one through
+    /// [`TrainedPredictor::compile_batch`].
+    ///
+    /// A pin goes through [`CompilationFlow::pin_device`], so dynamic
     /// registry devices outside the built-in action set are reachable;
     /// for built-in pins the flow is identical to forcing the two
     /// selection actions.
     ///
     /// # Errors
     ///
-    /// Returns the flow's rejection if the pin is infeasible (e.g. the
-    /// circuit is wider than the device).
-    pub fn compile_pinned(
-        &self,
-        circuit: &QuantumCircuit,
-        pin: DeviceId,
-        seed: u64,
-    ) -> Result<CompilationOutcome, crate::flow::FlowError> {
-        let mut flow = CompilationFlow::new(circuit.clone(), seed);
-        flow.pin_device(Device::get(pin))?;
-        Ok(self.finish_rollout(flow, self.reward))
-    }
-
-    /// Compiles one request: pinned when the request named a device,
-    /// free policy rollout otherwise. The serving scheduler's lockstep
-    /// [`TrainedPredictor::compile_batch`] reproduces it bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns the flow's rejection if a pin is infeasible; unpinned
-    /// compilation never fails (a stuck rollout reports reward 0).
+    /// Returns the flow's rejection if a pin is infeasible (e.g. the
+    /// circuit is wider than the device); unpinned compilation never
+    /// fails (a stuck rollout reports reward 0).
     pub fn compile_request(
         &self,
         circuit: &QuantumCircuit,
         pin: Option<DeviceId>,
         seed: u64,
-    ) -> Result<CompilationOutcome, crate::flow::FlowError> {
-        match pin {
-            Some(pin) => self.compile_pinned(circuit, pin, seed),
-            None => Ok(self.compile_with_seed(circuit, seed)),
-        }
+    ) -> Result<CompilationOutcome, FlowError> {
+        let request = BatchCompileRequest { circuit, pin, seed };
+        self.compile_batch(&[request]).remove(0)
     }
 
-    fn rollout(
+    /// Compiles a batch of requests in one lockstep rollout: per tick,
+    /// the observations of every still-active request are stacked and
+    /// the policy runs **one** batched forward.
+    ///
+    /// Every outcome is **bit-identical** to compiling its request
+    /// alone ([`TrainedPredictor::compile_request`], a batch of one):
+    /// each lane applies its own greedy actions to its own seeded flow,
+    /// and a batched forward gives each row the bits it gets alone.
+    ///
+    /// Returns the per-item results in request order.
+    pub fn compile_batch(
         &self,
-        circuit: &QuantumCircuit,
-        metric: RewardKind,
-        seed: u64,
-    ) -> CompilationOutcome {
-        let flow = CompilationFlow::new(circuit.clone(), seed);
-        self.finish_rollout(flow, metric)
-    }
-
-    /// Greedy policy rollout from an arbitrary flow state to *Done* (or
-    /// the step budget), scoring the result under `metric`.
-    fn finish_rollout(&self, mut flow: CompilationFlow, metric: RewardKind) -> CompilationOutcome {
-        let all = Action::all();
-        for _ in 0..MAX_EPISODE_STEPS {
-            if flow.is_done() {
-                break;
-            }
-            let mask = qrc_obs::profile::section_timed("mask", || flow.action_mask());
-            if !mask.iter().any(|&m| m) {
-                break;
-            }
-            let obs = qrc_obs::profile::section_timed("observation", || observation_of(&flow));
-            // One policy forward per tick; timed when profiling is on.
-            let choice = if qrc_obs::profile::enabled() {
-                let start = std::time::Instant::now();
-                let choice = self.agent.act_greedy(&obs, &mask);
-                qrc_obs::profile::record_tick(start.elapsed().as_micros() as u64);
-                choice
-            } else {
-                self.agent.act_greedy(&obs, &mask)
-            };
-            if qrc_obs::profile::section_timed("apply", || flow.apply(all[choice])).is_err() {
-                break;
-            }
-        }
-        self.outcome_of(flow, metric)
+        items: &[BatchCompileRequest<'_>],
+    ) -> Vec<Result<CompilationOutcome, FlowError>> {
+        let mut flows = Vec::with_capacity(items.len());
+        let started: Vec<Result<(), FlowError>> = items
+            .iter()
+            .map(|req| {
+                let mut flow = CompilationFlow::new(req.circuit.clone(), req.seed);
+                if let Some(pin) = req.pin {
+                    flow.pin_device(Device::get(pin))?;
+                }
+                flows.push(flow);
+                Ok(())
+            })
+            .collect();
+        let mut finished = self.rollout(flows, |_, _, _| {}).into_iter();
+        started
+            .into_iter()
+            .map(|started| {
+                started.map(|()| {
+                    let flow = finished.next().expect("one finished flow per started one");
+                    self.outcome_of(flow, self.reward)
+                })
+            })
+            .collect()
     }
 
     /// Scores a finished (or stuck) flow under `metric` and packages the
-    /// outcome — the shared tail of the serial and batched rollouts.
+    /// outcome.
     fn outcome_of(&self, flow: CompilationFlow, metric: RewardKind) -> CompilationOutcome {
         let reward = match (flow.is_done(), flow.device()) {
             (true, Some(dev)) => {
@@ -527,96 +492,79 @@ impl TrainedPredictor {
         }
     }
 
-    /// Compiles a batch of requests in lockstep: per rollout tick, the
-    /// observations of every still-active request are stacked and the
-    /// policy runs **one** batched matrix-matrix forward instead of one
-    /// matrix-vector forward per request, and action masks are memoized
-    /// per [`MaskSignature`] instead of recomputed per flow per step.
+    /// The greedy rollout every compilation and probe runs: advances
+    /// the flows in lockstep until each is *Done*, has no legal action,
+    /// fails to apply its action, or has used the step budget, and
+    /// returns them in input order.
     ///
-    /// Every outcome is **bit-identical** to calling
-    /// [`TrainedPredictor::compile_request`] per item: the batched
-    /// forward preserves the serial path's accumulation order, the
-    /// memoized masks equal the recomputed ones (the mask is a pure
-    /// function of its signature), and each lane applies the same
-    /// actions to the same seeded flow.
-    ///
-    /// Returns the per-item results in request order.
-    pub fn compile_batch(
+    /// Per tick, the observations of every still-active flow are
+    /// stacked into one matrix for a single
+    /// [`Mlp::forward_batch`](qrc_rl::Mlp::forward_batch), and action
+    /// masks are memoized per [`MaskSignature`] (the mask is a pure
+    /// function of its signature). `observe(lane, logits, mask)` sees
+    /// each state the policy acts on, before its action is applied.
+    fn rollout(
         &self,
-        items: &[BatchCompileRequest<'_>],
-    ) -> Vec<Result<CompilationOutcome, FlowError>> {
-        let mut results: Vec<Option<Result<CompilationOutcome, FlowError>>> =
-            items.iter().map(|_| None).collect();
-        let mut lanes: Vec<Lane> = Vec::with_capacity(items.len());
-        for (item, req) in items.iter().enumerate() {
-            let mut flow = CompilationFlow::new(req.circuit.clone(), req.seed);
-            if let Some(pin) = req.pin {
-                if let Err(e) = flow.pin_device(Device::get(pin)) {
-                    results[item] = Some(Err(e));
-                    continue;
-                }
-            }
-            lanes.push(Lane { item, flow });
-        }
+        flows: Vec<CompilationFlow>,
+        mut observe: impl FnMut(usize, &[f64], &[bool]),
+    ) -> Vec<CompilationFlow> {
+        let mut finished: Vec<Option<CompilationFlow>> = flows.iter().map(|_| None).collect();
+        let mut lanes: Vec<(usize, CompilationFlow)> = flows.into_iter().enumerate().collect();
         let all = Action::all();
         let mut mask_memo: HashMap<MaskSignature, Vec<bool>> = HashMap::new();
         for _ in 0..MAX_EPISODE_STEPS {
-            if lanes.is_empty() {
-                break;
-            }
-            // Gather this tick's active lanes; finalize the rest.
-            let mut stepping: Vec<Lane> = Vec::with_capacity(lanes.len());
-            let mut obs_rows: Vec<Vec<f64>> = Vec::new();
-            let mut mask_rows: Vec<Vec<bool>> = Vec::new();
-            for lane in lanes.drain(..) {
-                if lane.flow.is_done() {
-                    results[lane.item] = Some(Ok(self.outcome_of(lane.flow, self.reward)));
+            // Gather this tick's active lanes; set the rest aside.
+            let mut stepping = Vec::with_capacity(lanes.len());
+            let mut obs_rows: Vec<Vec<f64>> = Vec::with_capacity(lanes.len());
+            let mut mask_rows: Vec<Vec<bool>> = Vec::with_capacity(lanes.len());
+            for (lane, flow) in lanes.drain(..) {
+                if flow.is_done() {
+                    finished[lane] = Some(flow);
                     continue;
                 }
                 let mask = qrc_obs::profile::section_timed("mask", || {
                     mask_memo
-                        .entry(lane.flow.mask_signature())
-                        .or_insert_with(|| lane.flow.action_mask())
+                        .entry(flow.mask_signature())
+                        .or_insert_with(|| flow.action_mask())
                         .clone()
                 });
                 if !mask.iter().any(|&m| m) {
-                    results[lane.item] = Some(Ok(self.outcome_of(lane.flow, self.reward)));
+                    finished[lane] = Some(flow);
                     continue;
                 }
                 obs_rows.push(qrc_obs::profile::section_timed("observation", || {
-                    observation_of(&lane.flow)
+                    observation_of(&flow)
                 }));
                 mask_rows.push(mask);
-                stepping.push(lane);
+                stepping.push((lane, flow));
             }
             if stepping.is_empty() {
                 break;
             }
-            // One matrix-matrix policy forward for the whole tick;
-            // timed as a single tick when profiling is on.
+            // One policy forward for the whole tick; timed as a single
+            // tick when profiling is on.
             let tick_start = qrc_obs::profile::enabled().then(std::time::Instant::now);
             let logits = self.agent.policy().forward_batch(&obs_rows);
             if let Some(start) = tick_start {
                 qrc_obs::profile::record_tick(start.elapsed().as_micros() as u64);
             }
-            for ((mut lane, row), mask) in stepping.into_iter().zip(logits).zip(mask_rows) {
+            for (((lane, mut flow), row), mask) in stepping.into_iter().zip(logits).zip(mask_rows) {
+                observe(lane, &row, &mask);
                 let choice = greedy_from_logits(&row, &mask);
-                if qrc_obs::profile::section_timed("apply", || lane.flow.apply(all[choice]))
-                    .is_err()
-                {
-                    results[lane.item] = Some(Ok(self.outcome_of(lane.flow, self.reward)));
-                    continue;
+                if qrc_obs::profile::section_timed("apply", || flow.apply(all[choice])).is_err() {
+                    finished[lane] = Some(flow);
+                } else {
+                    lanes.push((lane, flow));
                 }
-                lanes.push(lane);
             }
         }
-        // Step budget exhausted: score whatever each lane reached.
-        for lane in lanes {
-            results[lane.item] = Some(Ok(self.outcome_of(lane.flow, self.reward)));
+        // Step budget exhausted: the rest stop where they are.
+        for (lane, flow) in lanes {
+            finished[lane] = Some(flow);
         }
-        results
+        finished
             .into_iter()
-            .map(|r| r.expect("every request resolved"))
+            .map(|flow| flow.expect("every lane finished"))
             .collect()
     }
 }

@@ -96,16 +96,16 @@ fn load_rejects_corrupt_and_foreign_payloads() {
 }
 
 #[test]
-fn compile_with_seed_is_deterministic_per_seed() {
+fn compile_request_is_deterministic_per_seed() {
     let model = tiny_model(RewardKind::Combination, 3);
     let qc = BenchmarkFamily::Ghz.generate(4);
-    let a = model.compile_with_seed(&qc, 42);
-    let b = model.compile_with_seed(&qc, 42);
+    let a = model.compile_request(&qc, None, 42).unwrap();
+    let b = model.compile_request(&qc, None, 42).unwrap();
     assert_eq!(a.actions, b.actions);
     assert_eq!(a.circuit, b.circuit);
     // The default path is the model-seed special case.
     let c = model.compile(&qc);
-    let d = model.compile_with_seed(&qc, model.seed());
+    let d = model.compile_request(&qc, None, model.seed()).unwrap();
     assert_eq!(c.actions, d.actions);
     assert_eq!(c.circuit, d.circuit);
 }

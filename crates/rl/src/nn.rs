@@ -33,31 +33,19 @@ impl Linear {
         }
     }
 
-    fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        for o in 0..self.outputs {
-            let row = &self.w[o * self.inputs..(o + 1) * self.inputs];
-            let mut acc = self.b[o];
-            for (wi, xi) in row.iter().zip(x.iter()) {
-                acc += wi * xi;
-            }
-            out.push(acc);
-        }
-    }
-
-    /// Batched forward: `xs` holds `batch` row-major input rows of
-    /// `self.inputs` each; `out` is overwritten with `batch` row-major
-    /// output rows of `self.outputs` each — one matrix-matrix product.
+    /// The dense-layer kernel: `xs` holds `batch` row-major input rows
+    /// of `self.inputs` each; `out` is overwritten with `batch`
+    /// row-major output rows of `self.outputs` each, one matrix-matrix
+    /// product. Each output element is one dot product accumulated in
+    /// input order (`acc = b[o]; acc += w·x`), so a row's outputs do not
+    /// depend on the other rows of the batch. Each weight row is
+    /// streamed once across the whole batch.
     ///
-    /// Row `r` of the output is **bit-identical** to [`Linear::forward`]
-    /// on row `r` of `xs`: each output element is the same dot product
-    /// accumulated in the same order (`acc = b[o]; acc += w·x` over the
-    /// inputs in order). Only the *outer* loop order changes — each
-    /// weight row is streamed once across the whole batch instead of
-    /// once per input vector, which is where the batched speedup
-    /// comes from.
+    /// # Panics
+    ///
+    /// Panics if `xs` does not hold exactly `batch` rows.
     fn forward_batch(&self, xs: &[f64], batch: usize, out: &mut Vec<f64>) {
-        debug_assert_eq!(xs.len(), batch * self.inputs);
+        assert_eq!(xs.len(), batch * self.inputs, "input length != input_dim");
         out.clear();
         out.resize(batch * self.outputs, 0.0);
         for o in 0..self.outputs {
@@ -96,8 +84,6 @@ pub struct Mlp {
 /// Cached activations of one forward pass, needed for backprop.
 #[derive(Debug, Clone)]
 pub struct Activations {
-    /// `pre[i]` = pre-activation output of layer `i`.
-    pre: Vec<Vec<f64>>,
     /// `post[i]` = activated output of layer `i` (`post.last()` is linear).
     post: Vec<Vec<f64>>,
     input: Vec<f64>,
@@ -176,71 +162,78 @@ impl Mlp {
     }
 
     /// Plain forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the input dimension.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        self.forward_cached(x).post.pop().expect("layers")
+        self.forward_rows(x, 1)
     }
 
     /// Batched forward pass: stacks the input vectors into one matrix
     /// and computes each layer as a single matrix-matrix product.
     ///
     /// Output row `i` is **bit-identical** to [`Mlp::forward`] on
-    /// `xs[i]`: every output element is the same dot product
-    /// accumulated in the same order, and the hidden `tanh` is applied
-    /// to each element exactly as in the per-vector path. The batched
-    /// layout only changes memory traffic (each weight row streams
-    /// once per batch, and the per-layer scratch buffers are reused
-    /// instead of reallocated per vector), which is where the miss-path
-    /// speedup in serving comes from.
+    /// `xs[i]`: both run the same kernel, whose output rows do not
+    /// depend on each other. The batched layout only changes memory
+    /// traffic (each weight row streams once per batch), which is where
+    /// the miss-path speedup in serving comes from.
     ///
     /// # Panics
     ///
     /// Panics if any input row's length differs from the input
     /// dimension.
     pub fn forward_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let batch = xs.len();
-        if batch == 0 {
+        if xs.is_empty() {
             return Vec::new();
         }
         let inputs = self.input_dim();
-        let mut cur: Vec<f64> = Vec::with_capacity(batch * inputs);
+        let mut flat: Vec<f64> = Vec::with_capacity(xs.len() * inputs);
         for x in xs {
             assert_eq!(x.len(), inputs, "input row length != input_dim");
-            cur.extend_from_slice(x);
+            flat.extend_from_slice(x);
         }
-        let mut next: Vec<f64> = Vec::new();
-        let n_layers = self.layers.len();
-        for (i, layer) in self.layers.iter().enumerate() {
-            layer.forward_batch(&cur, batch, &mut next);
-            if i + 1 < n_layers {
-                for v in &mut next {
-                    *v = v.tanh();
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        let outputs = self.output_dim();
-        cur.chunks(outputs).map(<[f64]>::to_vec).collect()
+        let out = self.forward_rows(&flat, xs.len());
+        out.chunks(self.output_dim()).map(<[f64]>::to_vec).collect()
     }
 
-    /// Forward pass retaining intermediate activations for backprop.
-    pub fn forward_cached(&self, x: &[f64]) -> Activations {
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut post = Vec::with_capacity(self.layers.len());
-        let mut cur = x.to_vec();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut out = Vec::new();
-            layer.forward(&cur, &mut out);
-            pre.push(out.clone());
-            if i + 1 < self.layers.len() {
-                for v in &mut out {
-                    *v = v.tanh();
-                }
+    /// Runs every layer over `batch` row-major input rows and returns
+    /// the row-major output rows.
+    fn forward_rows(&self, xs: &[f64], batch: usize) -> Vec<f64> {
+        let mut cur: Vec<f64> = Vec::new();
+        let mut next: Vec<f64> = Vec::new();
+        for i in 0..self.layers.len() {
+            let input = if i == 0 { xs } else { &cur };
+            self.layer(i, input, batch, &mut next);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        cur
+    }
+
+    /// Layer `i` over `batch` rows of `xs`: the dense kernel, then tanh
+    /// on every hidden layer.
+    fn layer(&self, i: usize, xs: &[f64], batch: usize, out: &mut Vec<f64>) {
+        self.layers[i].forward_batch(xs, batch, out);
+        if i + 1 < self.layers.len() {
+            for v in out.iter_mut() {
+                *v = v.tanh();
             }
-            post.push(out.clone());
-            cur = out;
+        }
+    }
+
+    /// Forward pass retaining every layer's output for backprop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the input dimension.
+    pub fn forward_cached(&self, x: &[f64]) -> Activations {
+        let mut post: Vec<Vec<f64>> = Vec::with_capacity(self.layers.len());
+        for i in 0..self.layers.len() {
+            let mut out = Vec::new();
+            self.layer(i, post.last().map_or(x, Vec::as_slice), 1, &mut out);
+            post.push(out);
         }
         Activations {
-            pre,
             post,
             input: x.to_vec(),
         }
@@ -334,10 +327,10 @@ impl Mlp {
         let mut delta = dout.to_vec();
         for li in (0..n_layers).rev() {
             let layer = &self.layers[li];
-            // Hidden layers have tanh: δ ← δ ⊙ (1 − tanh²(pre)).
+            // Hidden layers have tanh: δ ← δ ⊙ (1 − tanh²(pre)), and
+            // their cached output is tanh(pre).
             if li + 1 < n_layers {
-                for (d, &p) in delta.iter_mut().zip(acts.pre[li].iter()) {
-                    let t = p.tanh();
+                for (d, &t) in delta.iter_mut().zip(acts.post[li].iter()) {
                     *d *= 1.0 - t * t;
                 }
             }
@@ -617,6 +610,145 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-vector dense layer that `Mlp::forward` and
+    /// `forward_cached` ran before they shared the batched kernel: the
+    /// oracle for both.
+    fn oracle_layer(layer: &Linear, x: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        for o in 0..layer.outputs {
+            let row = &layer.w[o * layer.inputs..(o + 1) * layer.inputs];
+            let mut acc = layer.b[o];
+            for (wi, xi) in row.iter().zip(x.iter()) {
+                acc += wi * xi;
+            }
+            out.push(acc);
+        }
+    }
+
+    /// The old `forward_cached` over [`oracle_layer`]: each layer's
+    /// pre-activation and activated output.
+    fn oracle_forward(net: &Mlp, x: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let mut pre = Vec::with_capacity(net.layers.len());
+        let mut post = Vec::with_capacity(net.layers.len());
+        let mut cur = x.to_vec();
+        for (i, layer) in net.layers.iter().enumerate() {
+            let mut out = Vec::new();
+            oracle_layer(layer, &cur, &mut out);
+            pre.push(out.clone());
+            if i + 1 < net.layers.len() {
+                for v in &mut out {
+                    *v = v.tanh();
+                }
+            }
+            post.push(out.clone());
+            cur = out;
+        }
+        (pre, post)
+    }
+
+    /// The old `backward`, which re-derived tanh from the cached
+    /// pre-activations.
+    fn oracle_backward(net: &Mlp, x: &[f64], dout: &[f64], grads: &mut Gradients) {
+        let (pre, post) = oracle_forward(net, x);
+        let mut delta = dout.to_vec();
+        for li in (0..net.layers.len()).rev() {
+            let layer = &net.layers[li];
+            if li + 1 < net.layers.len() {
+                for (d, &p) in delta.iter_mut().zip(pre[li].iter()) {
+                    let t = p.tanh();
+                    *d *= 1.0 - t * t;
+                }
+            }
+            let input: &[f64] = if li == 0 { x } else { &post[li - 1] };
+            for (o, &d) in delta.iter().enumerate() {
+                grads.b[li][o] += d;
+                let row = &mut grads.w[li][o * layer.inputs..(o + 1) * layer.inputs];
+                for (gi, &xi) in row.iter_mut().zip(input.iter()) {
+                    *gi += d * xi;
+                }
+            }
+            if li > 0 {
+                let mut next = vec![0.0; layer.inputs];
+                for (o, &d) in delta.iter().enumerate() {
+                    let row = &layer.w[o * layer.inputs..(o + 1) * layer.inputs];
+                    for (ni, &wi) in next.iter_mut().zip(row.iter()) {
+                        *ni += d * wi;
+                    }
+                }
+                delta = next;
+            }
+        }
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}[{k}]: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn forward_paths_match_the_per_vector_oracle() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let shapes = [
+            (1usize, vec![], 1usize),
+            (3, vec![5], 2),
+            (7, vec![32, 16, 8], 4),
+            (18, vec![64, 64], 29),
+        ];
+        for (inputs, hidden, outputs) in shapes {
+            let net = Mlp::new(inputs, &hidden, outputs, &mut rng);
+            for _ in 0..40 {
+                let x: Vec<f64> = (0..inputs).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let (_, post) = oracle_forward(&net, &x);
+                assert_bits_eq(&net.forward(&x), post.last().unwrap(), "forward");
+                let acts = net.forward_cached(&x);
+                assert_bits_eq(&acts.input, &x, "forward_cached input");
+                assert_eq!(acts.post.len(), post.len());
+                for (layer, (got, want)) in acts.post.iter().zip(&post).enumerate() {
+                    assert_bits_eq(got, want, &format!("forward_cached layer {layer}"));
+                }
+                let dout: Vec<f64> = (0..outputs).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let mut got = Gradients::zeros_like(&net);
+                net.backward(&acts, &dout, &mut got);
+                let mut want = Gradients::zeros_like(&net);
+                oracle_backward(&net, &x, &dout, &mut want);
+                for li in 0..net.layers.len() {
+                    assert_bits_eq(&got.w[li], &want.w[li], "weight gradient");
+                    assert_bits_eq(&got.b[li], &want.b[li], "bias gradient");
+                }
+            }
+        }
+    }
+
+    fn three_input_net() -> Mlp {
+        Mlp::new(3, &[4], 2, &mut StdRng::seed_from_u64(8))
+    }
+
+    #[test]
+    #[should_panic(expected = "input length != input_dim")]
+    fn forward_rejects_a_short_input() {
+        three_input_net().forward(&[0.1, 0.2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "input length != input_dim")]
+    fn forward_rejects_a_long_input() {
+        three_input_net().forward(&[0.1, 0.2, 0.3, 0.4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "input length != input_dim")]
+    fn forward_cached_rejects_a_short_input() {
+        three_input_net().forward_cached(&[0.1, 0.2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "input length != input_dim")]
+    fn forward_cached_rejects_a_long_input() {
+        three_input_net().forward_cached(&[0.1, 0.2, 0.3, 0.4]);
     }
 
     #[test]

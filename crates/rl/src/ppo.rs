@@ -258,6 +258,11 @@ impl PpoAgent {
     }
 
     /// Masked action probabilities for an observation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obs.len()` differs from the observation dimension or
+    /// every action is masked.
     pub fn action_probs(&self, obs: &[f64], mask: &[bool]) -> Vec<f64> {
         let logits = self.policy.forward(obs);
         masked_softmax(&logits, mask)
@@ -271,27 +276,18 @@ impl PpoAgent {
         distribution_entropy(&self.action_probs(obs, mask))
     }
 
-    /// Samples an action from the masked policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every action is masked.
-    pub fn act_sample(&self, obs: &[f64], mask: &[bool], rng: &mut StdRng) -> usize {
-        let probs = self.action_probs(obs, mask);
-        sample_categorical(&probs, rng)
-    }
-
     /// The highest-probability legal action (deterministic policy).
     ///
     /// # Panics
     ///
-    /// Panics if every action is masked.
+    /// Panics if `obs.len()` differs from the observation dimension or
+    /// every action is masked.
     pub fn act_greedy(&self, obs: &[f64], mask: &[bool]) -> usize {
         greedy_from_logits(&self.policy.forward(obs), mask)
     }
 
-    /// The policy network, read-only — the lockstep batched serving
-    /// rollout evaluates it directly and picks actions with
+    /// The policy network, read-only — the compiler's lockstep rollout
+    /// evaluates it directly and picks actions with
     /// [`greedy_from_logits`], which is guaranteed to agree with
     /// [`PpoAgent::act_greedy`].
     pub fn policy(&self) -> &Mlp {
@@ -299,6 +295,10 @@ impl PpoAgent {
     }
 
     /// The value estimate for an observation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obs.len()` differs from the observation dimension.
     pub fn value_of(&self, obs: &[f64]) -> f64 {
         self.value.forward(obs)[0]
     }
@@ -323,7 +323,7 @@ impl PpoAgent {
         let mut mask = env.action_mask();
         while timesteps < total_timesteps {
             let (rollout, stats, next_obs, next_mask) =
-                self.collect_rollout(env, obs, mask, &mut rng, timesteps);
+                self.collect_rollout(env, obs, mask, &mut rng);
             obs = next_obs;
             mask = next_mask;
             timesteps += rollout.obs.len();
@@ -338,7 +338,6 @@ impl PpoAgent {
         mut obs: Vec<f64>,
         mut mask: Vec<bool>,
         rng: &mut StdRng,
-        _timesteps_so_far: usize,
     ) -> (Rollout, TrainStats, Vec<f64>, Vec<bool>) {
         let n = self.config.steps_per_update;
         let mut r = Rollout {

@@ -129,7 +129,7 @@ impl ShardCounterSnapshot {
             ..MetricsSnapshot::default()
         };
         let mut value = Value::object(vec![("shard", Value::from(self.shard.clone()))]);
-        write_item(&mut snapshot, Scope::Shard, 0, &mut value);
+        write_item(&mut snapshot, Scope::Shard, 0, &[], &mut value);
         value
     }
 }
@@ -540,7 +540,7 @@ impl MetricsSnapshot {
         // through the same accessors), so it renders a copy.
         let mut snapshot = self.clone();
         let mut value = Value::Object(Vec::new());
-        write_item(&mut snapshot, Scope::Node, 0, &mut value);
+        write_item(&mut snapshot, Scope::Node, 0, &[], &mut value);
         let shards = item_objects(&mut snapshot, Scope::Shard);
         put(&mut value, &[SHARDS], shards);
         value
@@ -552,11 +552,20 @@ impl MetricsSnapshot {
         let mut snapshot = self.clone();
         let mut value = self.table_value();
         let mut fleet = Value::Object(Vec::new());
-        write_item(&mut snapshot, Scope::Router, 0, &mut fleet);
+        write_item(&mut snapshot, Scope::Router, 0, &[], &mut fleet);
         put(&mut value, &[FLEET], fleet);
         let replicas = item_objects(&mut snapshot, Scope::Replica);
         put(&mut value, &PER_REPLICA, replicas);
         value
+    }
+
+    /// Writes into the stats object `out` the rows of `scope` for its
+    /// `item`-th item whose key paths start with `prefix`, each at the
+    /// rest of its path: with [`Scope::Node`] and `["cache"]`, the
+    /// entries of the node's `cache` block; with [`Scope::Replica`] and
+    /// no prefix, one replica's counters.
+    pub fn write_rows(&self, scope: Scope, item: usize, prefix: &[&str], out: &mut Value) {
+        write_item(&mut self.clone(), scope, item, prefix, out);
     }
 
     /// A fleet's snapshot: its replicas' stats replies read back
@@ -892,13 +901,23 @@ fn rows(scope: Scope) -> impl Iterator<Item = &'static Metric> {
     METRICS.iter().filter(move |metric| metric.scope == scope)
 }
 
-/// Writes the value of every row of `scope` for one of its items into
-/// the stats object `out`, each at its key path.
-fn write_item(snapshot: &mut MetricsSnapshot, scope: Scope, item: usize, out: &mut Value) {
+/// Writes the value of every row of `scope` for one of its items whose
+/// key path starts with `prefix` into the stats object `out`, each at
+/// the rest of its path.
+fn write_item(
+    snapshot: &mut MetricsSnapshot,
+    scope: Scope,
+    item: usize,
+    prefix: &[&str],
+    out: &mut Value,
+) {
     for metric in rows(scope) {
         for (i, (_, path)) in metric.series().into_iter().enumerate() {
+            let Some(rest) = path.strip_prefix(prefix) else {
+                continue;
+            };
             if let Some(value) = (metric.read)(snapshot, item, i).get() {
-                put(out, &path, value);
+                put(out, rest, value);
             }
         }
     }
@@ -911,7 +930,7 @@ fn item_objects(snapshot: &mut MetricsSnapshot, scope: Scope) -> Value {
         items
             .map(|(item, label)| {
                 let mut object = Value::Object(Vec::new());
-                write_item(snapshot, scope, item, &mut object);
+                write_item(snapshot, scope, item, &[], &mut object);
                 (label.map(|(_, name)| name).unwrap_or_default(), object)
             })
             .collect(),

@@ -11,7 +11,7 @@
 //!   against its source through the initial and final qubit layouts.
 
 use crate::state::Statevector;
-use crate::unitary::{circuit_unitary, MAX_UNITARY_QUBITS};
+use crate::unitary::circuit_unitary;
 use crate::SimError;
 use qrc_circuit::{Gate, QuantumCircuit, Qubit};
 use rand::Rng;
@@ -29,7 +29,7 @@ fn unitary_part(circuit: &QuantumCircuit) -> QuantumCircuit {
 /// # Errors
 ///
 /// Returns [`SimError::TooManyQubits`] for circuits wider than
-/// [`MAX_UNITARY_QUBITS`] — use [`circuits_equivalent_probe`] instead.
+/// [`MAX_UNITARY_QUBITS`](crate::unitary::MAX_UNITARY_QUBITS) — use [`circuits_equivalent_probe`] instead.
 pub fn circuits_equivalent(
     a: &QuantumCircuit,
     b: &QuantumCircuit,
@@ -201,25 +201,6 @@ pub fn random_product_state_circuit(n: u32, rng: &mut impl Rng) -> QuantumCircui
         qc.append(Gate::U(theta, phi, lambda), &[q]);
     }
     qc
-}
-
-/// Convenience for tests: asserts exact equivalence when the width allows
-/// it, otherwise falls back to a 6-trial randomized probe.
-///
-/// # Errors
-///
-/// Propagates simulator width errors (only possible above
-/// [`crate::state::MAX_QUBITS`]).
-pub fn check_equivalence(
-    a: &QuantumCircuit,
-    b: &QuantumCircuit,
-    rng: &mut impl Rng,
-) -> Result<bool, SimError> {
-    if a.num_qubits() <= MAX_UNITARY_QUBITS.min(6) {
-        circuits_equivalent(a, b, 1e-8)
-    } else {
-        circuits_equivalent_probe(a, b, 6, 1e-8, rng)
-    }
 }
 
 #[cfg(test)]
