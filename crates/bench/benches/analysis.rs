@@ -63,7 +63,7 @@ fn analysis_benchmarks(c: &mut Criterion) {
                 &[
                     &BasisTranslator,
                     &TrivialLayout,
-                    &StochasticSwap::default(),
+                    &StochasticSwap,
                     &BasisTranslator,
                 ],
             ),

@@ -9,7 +9,7 @@ use qrc_circuit::QuantumCircuit;
 use qrc_circuit::Qubit;
 use qrc_device::{Device, DeviceId};
 use qrc_passes::kak::{kak_decompose, synthesize_2q};
-use qrc_passes::{layout_passes, optimization_passes, routing_passes, Pass, PassContext};
+use qrc_passes::{Pass, PassContext, LAYOUTS, OPTIMIZATIONS, ROUTERS};
 use std::time::Duration;
 
 fn routing_benchmarks(c: &mut Criterion) {
@@ -28,11 +28,11 @@ fn routing_benchmarks(c: &mut Criterion) {
         let dev = Device::get(dev_id);
         let qc = BenchmarkFamily::Qft.generate(width);
         // Pre-layout the circuit once.
-        let laid = layout_passes()[2]
+        let laid = LAYOUTS[2]
             .apply(&qc, &PassContext::for_device(&dev))
             .unwrap()
             .circuit;
-        for router in routing_passes() {
+        for router in ROUTERS {
             let name = if dev_id == DeviceId::IbmqMontreal {
                 router.name().to_string()
             } else {
@@ -54,7 +54,7 @@ fn layout_benchmarks(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
-    for pass in layout_passes() {
+    for pass in LAYOUTS {
         group.bench_function(pass.name(), |b| {
             let ctx = PassContext::for_device(&dev).with_seed(3);
             b.iter(|| pass.apply(black_box(&qc), &ctx).unwrap());
@@ -69,7 +69,7 @@ fn optimization_benchmarks(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
-    for pass in optimization_passes() {
+    for pass in OPTIMIZATIONS {
         group.bench_function(pass.name(), |b| {
             let ctx = PassContext::device_free();
             b.iter(|| pass.apply(black_box(&qc), &ctx).unwrap());

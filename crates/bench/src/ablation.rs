@@ -95,7 +95,7 @@ fn run_arm(
             let step = eval_env.step(action, &mut rng);
             obs = step.obs;
             if step.done {
-                if step.reward > 0.0 {
+                if eval_env.flow().is_some_and(CompilationFlow::is_done) {
                     total += step.reward;
                     successes += 1;
                 }
@@ -133,17 +133,14 @@ fn random_policy_arm(settings: &AblationSettings) -> AblationResult {
                 break;
             }
             let choice = legal[rng.gen_range(0..legal.len())];
-            if flow.apply(Action::all()[choice]).is_err() {
+            if flow.apply(Action::ALL[choice]).is_err() {
                 break;
             }
         }
         if flow.is_done() {
             let dev = flow.device().expect("done implies device");
-            let r = settings.reward.evaluate(flow.circuit(), dev);
-            if r > 0.0 {
-                total += r;
-                successes += 1;
-            }
+            total += settings.reward.evaluate(flow.circuit(), dev);
+            successes += 1;
         }
     }
     AblationResult {
@@ -173,7 +170,7 @@ fn greedy_policy_arm(settings: &AblationSettings) -> AblationResult {
                     continue;
                 }
                 let mut probe = flow.clone();
-                if probe.apply(Action::all()[i]).is_err() {
+                if probe.apply(Action::ALL[i]).is_err() {
                     continue;
                 }
                 let score = probe_score(&probe, settings.reward);
@@ -183,17 +180,14 @@ fn greedy_policy_arm(settings: &AblationSettings) -> AblationResult {
                 }
             }
             let Some((choice, _)) = best else { break };
-            if flow.apply(Action::all()[choice]).is_err() {
+            if flow.apply(Action::ALL[choice]).is_err() {
                 break;
             }
         }
         if flow.is_done() {
             let dev = flow.device().expect("done implies device");
-            let r = settings.reward.evaluate(flow.circuit(), dev);
-            if r > 0.0 {
-                total += r;
-                successes += 1;
-            }
+            total += settings.reward.evaluate(flow.circuit(), dev);
+            successes += 1;
         }
     }
     AblationResult {

@@ -217,13 +217,14 @@ fn evaluate_circuit(
     let mut rl = [[0.0; 3]; 3];
     for (i, model) in models.iter().enumerate() {
         // One greedy rollout per model; score the same result under all
-        // three metrics.
+        // three metrics. `evaluate` scores a circuit that is not
+        // executable on its device 0, so every rollout that reached
+        // *Done* is scored, even one whose own reward is 0.
         let outcome = model.compile(qc);
-        for (j, &metric) in RewardKind::ALL.iter().enumerate() {
-            rl[i][j] = match (&outcome.device, outcome.reward > 0.0) {
-                (Some(d), true) => metric.evaluate(&outcome.circuit, &Device::get(*d)),
-                _ => 0.0,
-            };
+        if let Some(d) = outcome.device.map(Device::get) {
+            for (j, &metric) in RewardKind::ALL.iter().enumerate() {
+                rl[i][j] = metric.evaluate(&outcome.circuit, &d);
+            }
         }
     }
     let score_baseline = |b: Baseline| -> MetricTriple {
@@ -495,6 +496,67 @@ mod tests {
         assert!((s.mean_improvement - (0.1 - 0.2 + 0.0) / 3.0).abs() < 1e-12);
         let s = summary(&eval, RewardKind::ExpectedFidelity, Compare::Tket);
         assert!((s.wins_or_ties - 1.0).abs() < 1e-12);
+    }
+
+    /// A model of objective `reward` whose policy ignores its input: its
+    /// logits rank `platform:ionq` first, `device:ionq_harmony` second
+    /// and `synthesize` third, so it compiles every circuit that fits
+    /// IonQ Harmony to *Done* in three steps.
+    fn ionq_model(reward: RewardKind) -> TrainedPredictor {
+        use qrc_predictor::Action;
+        use serde_json::Value;
+        fn field<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+            let Value::Object(pairs) = value else {
+                panic!("`{key}`: not an object")
+            };
+            &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1
+        }
+        let untrained = qrc_predictor::train(
+            vec![BenchmarkFamily::Ghz.generate(2)],
+            &PredictorConfig::new(reward, 0),
+        );
+        let mut checkpoint = serde_json::from_str(&untrained.to_json()).unwrap();
+        let Value::Array(layers) = field(field(&mut checkpoint, "agent"), "policy") else {
+            panic!("policy: not a layer list")
+        };
+        let output = layers.last_mut().unwrap();
+        let Value::Array(w) = field(output, "w") else {
+            panic!("w: not an array")
+        };
+        w.fill(Value::from(0.0));
+        let bias = Action::ALL.map(|action| match action {
+            Action::SelectPlatform(qrc_device::Platform::Ionq) => 3.0,
+            Action::SelectDevice(DeviceId::IonqHarmony) => 2.0,
+            Action::Synthesize => 1.0,
+            _ => 0.0,
+        });
+        *field(output, "b") = Value::Array(bias.map(Value::from).to_vec());
+        TrainedPredictor::from_json(&serde_json::to_string(&checkpoint)).unwrap()
+    }
+
+    /// Every two-qubit gate of a GHZ chain on an all-to-all device lies
+    /// on one path, so the critical-depth reward of the compiled circuit
+    /// is 0 although the rollout reached *Done*. Table I still scores that
+    /// circuit under the other two metrics: two models that take the same
+    /// actions get the same row, whatever objective they were trained for.
+    #[test]
+    fn a_done_rollout_with_zero_reward_keeps_its_other_scores() {
+        let suite: Vec<QuantumCircuit> =
+            (2..=5).map(|n| BenchmarkFamily::Ghz.generate(n)).collect();
+        let models = RewardKind::ALL.map(ionq_model);
+        let device = Device::get(DeviceId::IbmqWashington);
+        let (fid, cd) = (
+            metric_index(RewardKind::ExpectedFidelity),
+            metric_index(RewardKind::CriticalDepth),
+        );
+        for (qc, eval) in suite
+            .iter()
+            .zip(score_suite(&suite, &models, &device, 3, false))
+        {
+            assert_eq!(models[cd].compile(qc).reward, 0.0, "{}", qc.name());
+            assert!(eval.rl[cd][fid] > 0.0, "{}: {:?}", qc.name(), eval.rl);
+            assert_eq!(eval.rl[cd], eval.rl[fid], "{}", qc.name());
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use qrc_benchgen::BenchmarkFamily;
 use qrc_circuit::qasm::to_qasm;
-use qrc_predictor::{task_seed, RewardKind, TrainedPredictor};
+use qrc_predictor::{RewardKind, TrainedPredictor};
 use qrc_serve::{
     bind_ephemeral, head_of_distribution_counts, run_retrain, serve_socket, synthetic_mix,
     CacheStatus, CompilationService, DeviceClass, FleetRouter, FrontendConfig, MetricsSnapshot,
@@ -308,9 +308,8 @@ fn sharded_arm(
 
 /// Trains the sharded arm's extra shards (a narrow-band specialist per
 /// objective, plus one device-class specialist to exercise device
-/// routing) on their scoped suite slices, each with a shard-tag-mixed
-/// seed (the derivation [`ModelRegistry::ensure_with_shards`] uses for
-/// checkpoints).
+/// routing) with [`ShardKey::train`], the recipe behind the service's
+/// own checkpoints.
 fn train_bench_shards(
     suite: &[qrc_circuit::QuantumCircuit],
     settings: &EvalSettings,
@@ -331,10 +330,12 @@ fn train_bench_shards(
             if settings.verbose {
                 eprintln!("training shard `{key}` on its scoped slice…");
             }
-            let mut config = qrc_predictor::PredictorConfig::new(key.objective, settings.timesteps);
-            config.seed = task_seed(settings.seed, key.tag());
-            config.step_penalty = settings.step_penalty;
-            let model = qrc_predictor::train(key.suite_slice(suite), &config);
+            let model = key.train(
+                suite,
+                settings.timesteps,
+                settings.seed,
+                settings.step_penalty,
+            );
             (key, model)
         })
         .collect()

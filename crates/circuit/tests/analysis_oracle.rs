@@ -19,7 +19,7 @@ use qrc_circuit::{metrics, strategies, FeatureVector, Gate, Operation, QuantumCi
 use qrc_device::{Device, DeviceId};
 use qrc_passes::layout::{SabreLayout, TrivialLayout};
 use qrc_passes::synthesis::BasisTranslator;
-use qrc_passes::{routing_passes, Pass, PassContext};
+use qrc_passes::{Pass, PassContext, ROUTERS};
 
 mod dag {
     //! Dependency-graph view of a circuit.
@@ -421,8 +421,7 @@ fn analysis_matches_the_dag_oracle_on_the_routing_grid() {
         .into_iter()
         .filter(|qc| [3, 6, 10].contains(&qc.num_qubits()))
         .collect();
-    let layouts: [&dyn Pass; 2] = [&TrivialLayout, &SabreLayout::default()];
-    let routers = routing_passes();
+    let layouts: [&dyn Pass; 2] = [&TrivialLayout, &SabreLayout];
     let mut compared = 0;
     let mut check = |qc: &QuantumCircuit, stage: &str| {
         if let Some(why) = mismatch(qc) {
@@ -449,7 +448,7 @@ fn analysis_matches_the_dag_oracle_on_the_routing_grid() {
                         continue;
                     };
                     check(&laid.circuit, layout.name());
-                    for router in &routers {
+                    for router in ROUTERS {
                         if let Ok(routed) = router.apply(&laid.circuit, &ctx) {
                             check(&routed.circuit, router.name());
                         }

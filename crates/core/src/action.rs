@@ -5,10 +5,10 @@
 //! from both Qiskit and TKET.
 
 use qrc_device::{DeviceId, Platform};
-use qrc_passes::{layout, opt1q, opt2q, routing, synthesis, Pass};
+use qrc_passes::Pass;
 use serde::{Deserialize, Serialize};
 
-/// The three layout methods.
+/// The three layout methods, in [`qrc_passes::LAYOUTS`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum LayoutMethod {
     /// Qiskit `TrivialLayout`.
@@ -19,7 +19,7 @@ pub enum LayoutMethod {
     Sabre,
 }
 
-/// The four routing methods.
+/// The four routing methods, in [`qrc_passes::ROUTERS`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RoutingMethod {
     /// Qiskit `BasicSwap`.
@@ -32,7 +32,8 @@ pub enum RoutingMethod {
     Tket,
 }
 
-/// The twelve optimization passes, in the paper's listing order.
+/// The twelve optimization passes, in [`qrc_passes::OPTIMIZATIONS`]
+/// order (the paper's listing order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum OptPass {
     /// Qiskit `Optimize1qGatesDecomposition`.
@@ -62,42 +63,9 @@ pub enum OptPass {
 }
 
 impl OptPass {
-    /// All optimization passes.
-    pub const ALL: [OptPass; 12] = [
-        OptPass::Optimize1qGates,
-        OptPass::CxCancellation,
-        OptPass::CommutativeCancellation,
-        OptPass::CommutativeInverseCancellation,
-        OptPass::RemoveDiagonalGatesBeforeMeasure,
-        OptPass::InverseCancellation,
-        OptPass::OptimizeCliffords,
-        OptPass::ConsolidateBlocks,
-        OptPass::PeepholeOptimise2Q,
-        OptPass::CliffordSimp,
-        OptPass::FullPeepholeOptimise,
-        OptPass::RemoveRedundancies,
-    ];
-
-    /// Instantiates the underlying pass object.
-    pub fn to_pass(self) -> Box<dyn Pass> {
-        match self {
-            OptPass::Optimize1qGates => Box::new(opt1q::Optimize1qGates),
-            OptPass::CxCancellation => Box::new(opt1q::CxCancellation),
-            OptPass::CommutativeCancellation => Box::new(opt1q::CommutativeCancellation),
-            OptPass::CommutativeInverseCancellation => {
-                Box::new(opt1q::CommutativeInverseCancellation)
-            }
-            OptPass::RemoveDiagonalGatesBeforeMeasure => {
-                Box::new(opt1q::RemoveDiagonalGatesBeforeMeasure)
-            }
-            OptPass::InverseCancellation => Box::new(opt1q::InverseCancellation),
-            OptPass::OptimizeCliffords => Box::new(opt2q::OptimizeCliffords),
-            OptPass::ConsolidateBlocks => Box::new(opt2q::ConsolidateBlocks),
-            OptPass::PeepholeOptimise2Q => Box::new(opt2q::PeepholeOptimise2Q),
-            OptPass::CliffordSimp => Box::new(opt2q::CliffordSimp),
-            OptPass::FullPeepholeOptimise => Box::new(opt2q::FullPeepholeOptimise),
-            OptPass::RemoveRedundancies => Box::new(opt1q::RemoveRedundancies),
-        }
+    /// The pass this optimization action runs.
+    pub fn pass(self) -> &'static dyn Pass {
+        qrc_passes::OPTIMIZATIONS[self as usize]
     }
 }
 
@@ -119,40 +87,48 @@ pub enum Action {
 }
 
 impl Action {
-    /// The full action list, in a fixed canonical order
-    /// (platforms, devices, synthesis, layouts, routings, optimizations).
-    pub fn all() -> Vec<Action> {
-        let mut v = Vec::with_capacity(29);
-        for p in Platform::ALL {
-            v.push(Action::SelectPlatform(p));
-        }
-        for d in DeviceId::ALL {
-            v.push(Action::SelectDevice(d));
-        }
-        v.push(Action::Synthesize);
-        for l in [
-            LayoutMethod::Trivial,
-            LayoutMethod::Dense,
-            LayoutMethod::Sabre,
-        ] {
-            v.push(Action::Layout(l));
-        }
-        for r in [
-            RoutingMethod::Basic,
-            RoutingMethod::Stochastic,
-            RoutingMethod::Sabre,
-            RoutingMethod::Tket,
-        ] {
-            v.push(Action::Route(r));
-        }
-        for o in OptPass::ALL {
-            v.push(Action::Optimize(o));
-        }
-        v
-    }
+    /// Every action, in the policy's logit order: platforms, devices,
+    /// synthesis, layouts, routings, optimizations. Checkpoints bake in
+    /// this order, and [`Action::name`] of each is served text.
+    pub const ALL: [Action; 29] = [
+        Action::SelectPlatform(Platform::Ibm),
+        Action::SelectPlatform(Platform::Rigetti),
+        Action::SelectPlatform(Platform::Ionq),
+        Action::SelectPlatform(Platform::Oqc),
+        Action::SelectDevice(DeviceId::IbmqMontreal),
+        Action::SelectDevice(DeviceId::IbmqWashington),
+        Action::SelectDevice(DeviceId::RigettiAspenM2),
+        Action::SelectDevice(DeviceId::IonqHarmony),
+        Action::SelectDevice(DeviceId::OqcLucy),
+        Action::Synthesize,
+        Action::Layout(LayoutMethod::Trivial),
+        Action::Layout(LayoutMethod::Dense),
+        Action::Layout(LayoutMethod::Sabre),
+        Action::Route(RoutingMethod::Basic),
+        Action::Route(RoutingMethod::Stochastic),
+        Action::Route(RoutingMethod::Sabre),
+        Action::Route(RoutingMethod::Tket),
+        Action::Optimize(OptPass::Optimize1qGates),
+        Action::Optimize(OptPass::CxCancellation),
+        Action::Optimize(OptPass::CommutativeCancellation),
+        Action::Optimize(OptPass::CommutativeInverseCancellation),
+        Action::Optimize(OptPass::RemoveDiagonalGatesBeforeMeasure),
+        Action::Optimize(OptPass::InverseCancellation),
+        Action::Optimize(OptPass::OptimizeCliffords),
+        Action::Optimize(OptPass::ConsolidateBlocks),
+        Action::Optimize(OptPass::PeepholeOptimise2Q),
+        Action::Optimize(OptPass::CliffordSimp),
+        Action::Optimize(OptPass::FullPeepholeOptimise),
+        Action::Optimize(OptPass::RemoveRedundancies),
+    ];
 
-    /// Number of actions in [`Action::all`].
-    pub const COUNT: usize = 29;
+    /// Number of actions in [`Action::ALL`].
+    pub const COUNT: usize = Action::ALL.len();
+
+    /// [`Action::ALL`], by value.
+    pub fn all() -> [Action; Action::COUNT] {
+        Action::ALL
+    }
 
     /// A short stable name for reports.
     pub fn name(&self) -> String {
@@ -167,32 +143,20 @@ impl Action {
             Action::Route(RoutingMethod::Stochastic) => "route:stochastic".into(),
             Action::Route(RoutingMethod::Sabre) => "route:sabre".into(),
             Action::Route(RoutingMethod::Tket) => "route:tket".into(),
-            Action::Optimize(o) => format!("opt:{}", o.to_pass().name()),
+            Action::Optimize(o) => format!("opt:{}", o.pass().name()),
         }
     }
 
-    /// Instantiates pass objects for the structural actions.
-    pub(crate) fn layout_pass(method: LayoutMethod) -> Box<dyn Pass> {
-        match method {
-            LayoutMethod::Trivial => Box::new(layout::TrivialLayout),
-            LayoutMethod::Dense => Box::new(layout::DenseLayout),
-            LayoutMethod::Sabre => Box::new(layout::SabreLayout::default()),
+    /// The pass this action runs; `None` for the platform and device
+    /// selections, which run none.
+    pub fn pass(self) -> Option<&'static dyn Pass> {
+        match self {
+            Action::SelectPlatform(_) | Action::SelectDevice(_) => None,
+            Action::Synthesize => Some(qrc_passes::SYNTHESIS),
+            Action::Layout(m) => Some(qrc_passes::LAYOUTS[m as usize]),
+            Action::Route(m) => Some(qrc_passes::ROUTERS[m as usize]),
+            Action::Optimize(o) => Some(o.pass()),
         }
-    }
-
-    /// Instantiates pass objects for the routing actions.
-    pub(crate) fn routing_pass(method: RoutingMethod) -> Box<dyn Pass> {
-        match method {
-            RoutingMethod::Basic => Box::new(routing::BasicSwap),
-            RoutingMethod::Stochastic => Box::new(routing::StochasticSwap::default()),
-            RoutingMethod::Sabre => Box::new(routing::SabreSwap::default()),
-            RoutingMethod::Tket => Box::new(routing::TketRouting::default()),
-        }
-    }
-
-    /// The synthesis pass object.
-    pub(crate) fn synthesis_pass() -> Box<dyn Pass> {
-        Box::new(synthesis::BasisTranslator)
     }
 }
 
@@ -236,9 +200,72 @@ mod tests {
 
     #[test]
     fn every_opt_pass_instantiates() {
-        for o in OptPass::ALL {
-            let p = o.to_pass();
-            assert!(!p.name().is_empty());
+        let mut qc = qrc_circuit::QuantumCircuit::new(2);
+        qc.h(0).cx(0, 1).cx(0, 1);
+        for action in Action::ALL {
+            if let Action::Optimize(o) = action {
+                let pass = o.pass();
+                let out = pass.apply(&qc, &qrc_passes::PassContext::device_free());
+                assert!(out.is_ok(), "{} needs a device", pass.name());
+            }
+        }
+    }
+
+    /// The policy's logit layout, the served action names and the pass
+    /// behind each action, as recorded before the catalog became one
+    /// list: a reordered or renamed action breaks every checkpoint and
+    /// served trace.
+    #[test]
+    fn catalog_order_and_names_are_pinned() {
+        const CATALOG: [(&str, Option<&str>); Action::COUNT] = [
+            ("platform:ibm", None),
+            ("platform:rigetti", None),
+            ("platform:ionq", None),
+            ("platform:oqc", None),
+            ("device:ibmq_montreal", None),
+            ("device:ibmq_washington", None),
+            ("device:rigetti_aspen_m2", None),
+            ("device:ionq_harmony", None),
+            ("device:oqc_lucy", None),
+            ("synthesize", Some("BasisTranslator")),
+            ("layout:trivial", Some("TrivialLayout")),
+            ("layout:dense", Some("DenseLayout")),
+            ("layout:sabre", Some("SabreLayout")),
+            ("route:basic", Some("BasicSwap")),
+            ("route:stochastic", Some("StochasticSwap")),
+            ("route:sabre", Some("SabreSwap")),
+            ("route:tket", Some("TketRouting")),
+            (
+                "opt:Optimize1qGatesDecomposition",
+                Some("Optimize1qGatesDecomposition"),
+            ),
+            ("opt:CXCancellation", Some("CXCancellation")),
+            (
+                "opt:CommutativeCancellation",
+                Some("CommutativeCancellation"),
+            ),
+            (
+                "opt:CommutativeInverseCancellation",
+                Some("CommutativeInverseCancellation"),
+            ),
+            (
+                "opt:RemoveDiagonalGatesBeforeMeasure",
+                Some("RemoveDiagonalGatesBeforeMeasure"),
+            ),
+            ("opt:InverseCancellation", Some("InverseCancellation")),
+            ("opt:OptimizeCliffords", Some("OptimizeCliffords")),
+            (
+                "opt:Collect2qBlocks+ConsolidateBlocks",
+                Some("Collect2qBlocks+ConsolidateBlocks"),
+            ),
+            ("opt:PeepholeOptimise2Q", Some("PeepholeOptimise2Q")),
+            ("opt:CliffordSimp", Some("CliffordSimp")),
+            ("opt:FullPeepholeOptimise", Some("FullPeepholeOptimise")),
+            ("opt:RemoveRedundancies", Some("RemoveRedundancies")),
+        ];
+        for (action, (name, pass)) in Action::ALL.into_iter().zip(CATALOG) {
+            assert_eq!(action.name(), name);
+            assert_eq!(action.pass().map(|p| p.name()), pass, "{name}");
         }
     }
 }

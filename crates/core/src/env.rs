@@ -194,8 +194,7 @@ impl Environment for CompilationEnv {
     }
 
     fn step(&mut self, action: usize, _rng: &mut StdRng) -> Step {
-        let actions = Action::all();
-        let act = actions[action];
+        let act = Action::ALL[action];
         let legal = self.flow.as_ref().expect("reset before step").is_legal(act);
         if !legal {
             // Reachable only in `Penalize` mode (masking filters these).

@@ -66,8 +66,8 @@ pub struct CompilationFlow {
     original_width: u32,
     platform: Option<Platform>,
     device: Option<Device>,
-    layout_applied: bool,
-    /// Logical → physical placement chosen by the layout action.
+    /// Logical → physical placement chosen by the layout action (set
+    /// once a layout has been applied).
     initial_layout: Option<Vec<u32>>,
     /// Cumulative wire permutation from routing: content that started at
     /// physical position `w` now lives at `perm[w]`.
@@ -88,7 +88,6 @@ impl CompilationFlow {
             original_width,
             platform: None,
             device: None,
-            layout_applied: false,
             initial_layout: None,
             perm: None,
             state: FlowState::Start,
@@ -134,7 +133,7 @@ impl CompilationFlow {
     /// circuit width (executable circuits implicitly use the trivial
     /// placement). After layout/routing actions they reflect the chosen
     /// placement and the cumulative routing permutation, suitable for
-    /// [`qrc_sim::equiv::mapped_circuit_equivalent`]-style checks.
+    /// `qrc_sim::equiv::mapped_circuit_equivalent`-style checks.
     pub fn layouts(&self) -> (Vec<u32>, Vec<u32>) {
         let initial: Vec<u32> = match &self.initial_layout {
             Some(l) => l.clone(),
@@ -152,9 +151,9 @@ impl CompilationFlow {
         self.state == FlowState::Done
     }
 
-    /// The legality mask over [`Action::all`], in the same order.
+    /// The legality mask over [`Action::ALL`], in the same order.
     pub fn action_mask(&self) -> Vec<bool> {
-        Action::all().iter().map(|a| self.is_legal(*a)).collect()
+        Action::ALL.iter().map(|a| self.is_legal(*a)).collect()
     }
 
     /// A compact hashable key over every input [`action_mask`] reads:
@@ -172,7 +171,7 @@ impl CompilationFlow {
             state: self.state.index(),
             platform: self.platform.map(|p| p.name()),
             device: self.device.as_ref().map(|d| d.id().name()),
-            layout_applied: self.layout_applied,
+            layout_applied: self.initial_layout.is_some(),
             width: self.original_width,
         }
     }
@@ -194,10 +193,14 @@ impl CompilationFlow {
             }
             Action::Synthesize => self.device.is_some() && self.state != FlowState::Done,
             Action::Layout(_) => {
-                self.device.is_some() && !self.layout_applied && self.state != FlowState::Done
+                self.device.is_some()
+                    && self.initial_layout.is_none()
+                    && self.state != FlowState::Done
             }
             Action::Route(_) => {
-                self.device.is_some() && self.layout_applied && self.state != FlowState::Done
+                self.device.is_some()
+                    && self.initial_layout.is_some()
+                    && self.state != FlowState::Done
             }
             // Optimizations are legal in every non-terminal state
             // (the blue self-loops of Fig. 2).
@@ -233,13 +236,10 @@ impl CompilationFlow {
                 self.device = Some(Device::get(d));
                 self.refresh_state();
             }
-            Action::Synthesize => self.run_pass(Action::synthesis_pass().as_ref(), step_seed)?,
-            Action::Layout(m) => {
-                self.run_pass(Action::layout_pass(m).as_ref(), step_seed)?;
-                self.layout_applied = true;
+            _ => {
+                let pass = action.pass().expect("every other action runs a pass");
+                self.run_pass(pass, step_seed)?;
             }
-            Action::Route(m) => self.run_pass(Action::routing_pass(m).as_ref(), step_seed)?,
-            Action::Optimize(o) => self.run_pass(o.to_pass().as_ref(), step_seed)?,
         }
         self.steps += 1;
         self.history.push(action);

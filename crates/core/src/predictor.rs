@@ -51,7 +51,8 @@ pub struct TrainedPredictor {
 /// The outcome of compiling one circuit with a trained predictor.
 #[derive(Debug, Clone)]
 pub struct CompilationOutcome {
-    /// The final circuit (executable when `device` is set and reward > 0).
+    /// The final circuit: executable on `device` exactly when the
+    /// rollout reached *Done*.
     pub circuit: QuantumCircuit,
     /// The chosen target device.
     pub device: Option<DeviceId>,
@@ -398,8 +399,7 @@ impl TrainedPredictor {
         self.compile_scored(circuit, self.reward)
     }
 
-    /// Compiles with this model but scores the result under `metric`
-    /// (used for the paper's Table I cross-evaluation).
+    /// Compiles with this model but scores the result under `metric`.
     pub fn compile_scored(
         &self,
         circuit: &QuantumCircuit,
@@ -476,14 +476,12 @@ impl TrainedPredictor {
     }
 
     /// Scores a finished (or stuck) flow under `metric` and packages the
-    /// outcome.
+    /// outcome. [`RewardKind::evaluate`] scores a circuit that is not
+    /// executable on its device 0, so a flow short of *Done* earns 0.
     fn outcome_of(&self, flow: CompilationFlow, metric: RewardKind) -> CompilationOutcome {
-        let reward = match (flow.is_done(), flow.device()) {
-            (true, Some(dev)) => {
-                qrc_obs::profile::section_timed("reward", || metric.evaluate(flow.circuit(), dev))
-            }
-            _ => 0.0,
-        };
+        let reward = flow.device().map_or(0.0, |dev| {
+            qrc_obs::profile::section_timed("reward", || metric.evaluate(flow.circuit(), dev))
+        });
         CompilationOutcome {
             device: flow.device().map(|d| d.id()),
             actions: flow.history().to_vec(),
@@ -510,7 +508,6 @@ impl TrainedPredictor {
     ) -> Vec<CompilationFlow> {
         let mut finished: Vec<Option<CompilationFlow>> = flows.iter().map(|_| None).collect();
         let mut lanes: Vec<(usize, CompilationFlow)> = flows.into_iter().enumerate().collect();
-        let all = Action::all();
         let mut mask_memo: HashMap<MaskSignature, Vec<bool>> = HashMap::new();
         for _ in 0..MAX_EPISODE_STEPS {
             // Gather this tick's active lanes; set the rest aside.
@@ -550,8 +547,8 @@ impl TrainedPredictor {
             }
             for (((lane, mut flow), row), mask) in stepping.into_iter().zip(logits).zip(mask_rows) {
                 observe(lane, &row, &mask);
-                let choice = greedy_from_logits(&row, &mask);
-                if qrc_obs::profile::section_timed("apply", || flow.apply(all[choice])).is_err() {
+                let action = Action::ALL[greedy_from_logits(&row, &mask)];
+                if qrc_obs::profile::section_timed("apply", || flow.apply(action)).is_err() {
                     finished[lane] = Some(flow);
                 } else {
                     lanes.push((lane, flow));

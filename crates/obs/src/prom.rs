@@ -3,7 +3,7 @@
 //! A tiny append-only builder: `# HELP` / `# TYPE` headers, counter
 //! and gauge samples with escaped labels, and histogram exposition
 //! (`_bucket{le=...}` cumulative series plus `_sum` / `_count`) driven
-//! by a [`Histogram`](crate::Histogram)'s `count_le`. Durations are
+//! by a [`Histogram`]'s `count_le`. Durations are
 //! exposed in microseconds with power-of-two `le` bounds, which line
 //! up exactly with the histogram's octave boundaries (see
 //! [`Histogram::count_le`](crate::Histogram::count_le)).

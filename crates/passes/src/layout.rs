@@ -11,7 +11,7 @@
 //! with [`WireEffect::SetLayout`] recording where each logical qubit went.
 
 use crate::pass::{Pass, PassContext, PassError, PassOutcome, WireEffect};
-use crate::routing::{sabre_route, SabreSwap};
+use crate::routing::sabre_route;
 use qrc_circuit::{metrics, QuantumCircuit, Qubit};
 use qrc_device::Device;
 use rand::rngs::StdRng;
@@ -154,17 +154,12 @@ impl Pass for DenseLayout {
 /// SABRE layout (Li, Ding, Xie): start from a seeded random layout, then
 /// alternate forward/backward routing passes, feeding each pass's final
 /// permutation back as the next initial layout.
-#[derive(Debug, Clone, Copy)]
-pub struct SabreLayout {
-    /// Number of forward/backward refinement rounds (Qiskit default: 3).
-    pub iterations: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SabreLayout;
 
-impl Default for SabreLayout {
-    fn default() -> Self {
-        SabreLayout { iterations: 3 }
-    }
-}
+/// Forward/backward refinement rounds of [`SabreLayout`] (Qiskit's
+/// default).
+const ROUNDS: usize = 3;
 
 impl Pass for SabreLayout {
     fn name(&self) -> &'static str {
@@ -192,13 +187,13 @@ impl Pass for SabreLayout {
         unitary.retain(|op| op.gate.is_unitary() && op.gate != qrc_circuit::Gate::Barrier);
         let reversed = reverse_for_sabre(&unitary);
 
-        for _ in 0..self.iterations.max(1) {
+        for _ in 0..ROUNDS {
             for qc in [&unitary, &reversed] {
                 let placed = qc.remapped(
                     device.num_qubits(),
                     &layout.iter().map(|&p| Qubit(p)).collect::<Vec<_>>(),
                 )?;
-                let (_, perm) = sabre_route(&placed, device, SabreSwap::default())?;
+                let (_, perm) = sabre_route(&placed, device)?;
                 // Logical l sat at layout[l]; after routing its content
                 // ends at perm[layout[l]] — the next initial layout.
                 layout = layout.iter().map(|&p| perm[p as usize]).collect();
@@ -229,19 +224,11 @@ mod tests {
         qc
     }
 
-    fn all_layouts() -> Vec<Box<dyn Pass>> {
-        vec![
-            Box::new(TrivialLayout),
-            Box::new(DenseLayout),
-            Box::new(SabreLayout::default()),
-        ]
-    }
-
     #[test]
     fn layouts_widen_and_record_placement() {
         let dev = Device::get(DeviceId::IbmqMontreal);
         let qc = sample_circuit();
-        for pass in all_layouts() {
+        for pass in crate::LAYOUTS {
             let out = pass.apply(&qc, &PassContext::for_device(&dev)).unwrap();
             assert_eq!(out.circuit.num_qubits(), 27, "{}", pass.name());
             let WireEffect::SetLayout(layout) = &out.effect else {
@@ -308,10 +295,10 @@ mod tests {
     fn sabre_layout_deterministic_per_seed() {
         let dev = Device::get(DeviceId::IbmqMontreal);
         let qc = sample_circuit();
-        let a = SabreLayout::default()
+        let a = SabreLayout
             .apply(&qc, &PassContext::for_device(&dev).with_seed(5))
             .unwrap();
-        let b = SabreLayout::default()
+        let b = SabreLayout
             .apply(&qc, &PassContext::for_device(&dev).with_seed(5))
             .unwrap();
         assert_eq!(a, b);
@@ -321,7 +308,7 @@ mod tests {
     fn too_wide_is_rejected() {
         let dev = Device::get(DeviceId::OqcLucy);
         let qc = QuantumCircuit::new(9);
-        for pass in all_layouts() {
+        for pass in crate::LAYOUTS {
             assert!(matches!(
                 pass.apply(&qc, &PassContext::for_device(&dev)),
                 Err(PassError::CircuitTooWide { .. })
@@ -332,7 +319,7 @@ mod tests {
     #[test]
     fn device_required() {
         let qc = sample_circuit();
-        for pass in all_layouts() {
+        for pass in crate::LAYOUTS {
             assert!(matches!(
                 pass.apply(&qc, &PassContext::device_free()),
                 Err(PassError::DeviceRequired { .. })
@@ -344,7 +331,7 @@ mod tests {
     fn empty_circuit_layouts_cleanly() {
         let dev = Device::get(DeviceId::OqcLucy);
         let qc = QuantumCircuit::new(3);
-        for pass in all_layouts() {
+        for pass in crate::LAYOUTS {
             let out = pass.apply(&qc, &PassContext::for_device(&dev)).unwrap();
             assert_eq!(out.circuit.num_qubits(), 8, "{}", pass.name());
             assert!(out.circuit.is_empty());

@@ -3,15 +3,23 @@
 //! Compilation passes for the `mqt-predictor` workspace — Rust
 //! re-implementations of every Qiskit and TKET pass the paper (Sec. IV-A)
 //! exposes as an action of its reinforcement-learning agent, all behind
-//! the unified circuit-in/circuit-out [`Pass`] interface:
+//! the unified circuit-in/circuit-out [`Pass`] interface.
 //!
-//! | Kind | Passes |
-//! |------|--------|
-//! | Synthesis | [`synthesis::BasisTranslator`] |
-//! | Layout | [`layout::TrivialLayout`], [`layout::DenseLayout`], [`layout::SabreLayout`] |
-//! | Routing | [`routing::BasicSwap`], [`routing::StochasticSwap`], [`routing::SabreSwap`], [`routing::TketRouting`] |
-//! | Optimization (Qiskit) | [`opt1q::Optimize1qGates`], [`opt1q::CxCancellation`], [`opt1q::CommutativeCancellation`], [`opt1q::CommutativeInverseCancellation`], [`opt1q::RemoveDiagonalGatesBeforeMeasure`], [`opt1q::InverseCancellation`], [`opt2q::OptimizeCliffords`], [`opt2q::ConsolidateBlocks`] |
-//! | Optimization (TKET) | [`opt2q::PeepholeOptimise2Q`], [`opt2q::CliffordSimp`], [`opt2q::FullPeepholeOptimise`], [`opt1q::RemoveRedundancies`] |
+//! Each of the 20 pass actions is declared once, in one of four statics
+//! listed in the action order the policy's logits follow:
+//!
+//! | Static | Passes |
+//! |--------|--------|
+//! | [`SYNTHESIS`] | [`synthesis::BasisTranslator`] |
+//! | [`LAYOUTS`] | [`layout::TrivialLayout`], [`layout::DenseLayout`], [`layout::SabreLayout`] |
+//! | [`ROUTERS`] | [`routing::BasicSwap`], [`routing::StochasticSwap`], [`routing::SabreSwap`], [`routing::TketRouting`] |
+//! | [`OPTIMIZATIONS`] (Qiskit) | [`opt1q::Optimize1qGates`], [`opt1q::CxCancellation`], [`opt1q::CommutativeCancellation`], [`opt1q::CommutativeInverseCancellation`], [`opt1q::RemoveDiagonalGatesBeforeMeasure`], [`opt1q::InverseCancellation`], [`opt2q::OptimizeCliffords`], [`opt2q::ConsolidateBlocks`] |
+//! | [`OPTIMIZATIONS`] (TKET) | [`opt2q::PeepholeOptimise2Q`], [`opt2q::CliffordSimp`], [`opt2q::FullPeepholeOptimise`], [`opt1q::RemoveRedundancies`] |
+//!
+//! Every pass is a unit struct. The few tuning values the search passes
+//! have are private constants: `SabreLayout` refines for 3 rounds,
+//! `StochasticSwap` runs 20 trials per blocked front, `SabreSwap` weighs
+//! a 20-op lookahead by 0.5, and `TketRouting` looks 10 ops ahead.
 //!
 //! Supporting machinery that a production compiler needs is implemented
 //! from scratch and reusable on its own: ZYZ Euler synthesis
@@ -47,39 +55,36 @@ pub mod synthesis;
 
 pub use pass::{Pass, PassContext, PassError, PassOutcome, WireEffect};
 
-/// The twelve optimization actions of the paper, in its listing order.
-pub fn optimization_passes() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(opt1q::Optimize1qGates),
-        Box::new(opt1q::CxCancellation),
-        Box::new(opt1q::CommutativeCancellation),
-        Box::new(opt1q::CommutativeInverseCancellation),
-        Box::new(opt1q::RemoveDiagonalGatesBeforeMeasure),
-        Box::new(opt1q::InverseCancellation),
-        Box::new(opt2q::OptimizeCliffords),
-        Box::new(opt2q::ConsolidateBlocks),
-        Box::new(opt2q::PeepholeOptimise2Q),
-        Box::new(opt2q::CliffordSimp),
-        Box::new(opt2q::FullPeepholeOptimise),
-        Box::new(opt1q::RemoveRedundancies),
-    ]
-}
+/// The synthesis action's pass.
+pub static SYNTHESIS: &dyn Pass = &synthesis::BasisTranslator;
 
-/// The three layout actions of the paper.
-pub fn layout_passes() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(layout::TrivialLayout),
-        Box::new(layout::DenseLayout),
-        Box::new(layout::SabreLayout::default()),
-    ]
-}
+/// The three layout actions' passes, in the paper's order.
+pub static LAYOUTS: [&dyn Pass; 3] = [
+    &layout::TrivialLayout,
+    &layout::DenseLayout,
+    &layout::SabreLayout,
+];
 
-/// The four routing actions of the paper.
-pub fn routing_passes() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(routing::BasicSwap),
-        Box::new(routing::StochasticSwap::default()),
-        Box::new(routing::SabreSwap::default()),
-        Box::new(routing::TketRouting::default()),
-    ]
-}
+/// The four routing actions' passes, in the paper's order.
+pub static ROUTERS: [&dyn Pass; 4] = [
+    &routing::BasicSwap,
+    &routing::StochasticSwap,
+    &routing::SabreSwap,
+    &routing::TketRouting,
+];
+
+/// The twelve optimization actions' passes, in the paper's listing order.
+pub static OPTIMIZATIONS: [&dyn Pass; 12] = [
+    &opt1q::Optimize1qGates,
+    &opt1q::CxCancellation,
+    &opt1q::CommutativeCancellation,
+    &opt1q::CommutativeInverseCancellation,
+    &opt1q::RemoveDiagonalGatesBeforeMeasure,
+    &opt1q::InverseCancellation,
+    &opt2q::OptimizeCliffords,
+    &opt2q::ConsolidateBlocks,
+    &opt2q::PeepholeOptimise2Q,
+    &opt2q::CliffordSimp,
+    &opt2q::FullPeepholeOptimise,
+    &opt1q::RemoveRedundancies,
+];

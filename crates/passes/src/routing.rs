@@ -309,17 +309,12 @@ impl Pass for BasicSwap {
 
 /// Qiskit-style `StochasticSwap`: try several randomized swap sequences for
 /// each blocked front and keep the shortest one.
-#[derive(Debug, Clone, Copy)]
-pub struct StochasticSwap {
-    /// Number of randomized trials per blocked front (Qiskit default: 20).
-    pub trials: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StochasticSwap;
 
-impl Default for StochasticSwap {
-    fn default() -> Self {
-        StochasticSwap { trials: 20 }
-    }
-}
+/// Randomized trials per blocked front of [`StochasticSwap`] (Qiskit's
+/// default).
+const TRIALS: usize = 20;
 
 impl Pass for StochasticSwap {
     fn name(&self) -> &'static str {
@@ -333,7 +328,6 @@ impl Pass for StochasticSwap {
     ) -> Result<PassOutcome, PassError> {
         let device = ctx.require_device(self.name())?;
         let mut rng = StdRng::seed_from_u64(ctx.seed);
-        let trials = self.trials.max(1);
         let mut search = SwapSearch::new(device.coupling());
         let (routed, perm) = route_with(circuit, device, move |sched, tracker, out, coupling| {
             search.start.clear();
@@ -349,7 +343,7 @@ impl Pass for StochasticSwap {
                 });
             }
             let seq = search
-                .run(coupling, &mut rng, trials)
+                .run(coupling, &mut rng, TRIALS)
                 .ok_or(PassError::SynthesisFailed {
                     pass: "StochasticSwap",
                     reason: "no trial reached an executable front".into(),
@@ -553,22 +547,14 @@ impl SwapSearch {
 
 /// SABRE routing (Li, Ding, Xie — ASPLOS 2019): heuristic swap selection
 /// with an extended lookahead set and a decay penalty against ping-ponging.
-#[derive(Debug, Clone, Copy)]
-pub struct SabreSwap {
-    /// Weight of the lookahead term (0.5 in the paper).
-    pub extended_set_weight: f64,
-    /// Size of the lookahead window.
-    pub extended_set_size: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SabreSwap;
 
-impl Default for SabreSwap {
-    fn default() -> Self {
-        SabreSwap {
-            extended_set_weight: 0.5,
-            extended_set_size: 20,
-        }
-    }
-}
+/// Weight of [`SabreSwap`]'s lookahead term (0.5 in the paper).
+const EXTENDED_SET_WEIGHT: f64 = 0.5;
+
+/// Two-qubit ops in [`SabreSwap`]'s lookahead window.
+const EXTENDED_SET_SIZE: usize = 20;
 
 impl Pass for SabreSwap {
     fn name(&self) -> &'static str {
@@ -581,7 +567,7 @@ impl Pass for SabreSwap {
         ctx: &PassContext<'_>,
     ) -> Result<PassOutcome, PassError> {
         let device = ctx.require_device(self.name())?;
-        let (routed, perm) = sabre_route(circuit, device, *self)?;
+        let (routed, perm) = sabre_route(circuit, device)?;
         Ok(PassOutcome {
             circuit: routed,
             effect: WireEffect::Permute(perm),
@@ -594,7 +580,6 @@ impl Pass for SabreSwap {
 pub(crate) fn sabre_route(
     circuit: &QuantumCircuit,
     device: &Device,
-    params: SabreSwap,
 ) -> Result<(QuantumCircuit, Vec<u32>), PassError> {
     let mut decay: Vec<f64> = vec![1.0; device.num_qubits() as usize];
     let mut rounds_since_progress = 0usize;
@@ -607,7 +592,7 @@ pub(crate) fn sabre_route(
             });
         }
         // Extended set: the next few 2q ops behind the front on each wire.
-        let extended = lookahead_2q(sched, &blocked, params.extended_set_size);
+        let extended = lookahead_2q(sched, &blocked, EXTENDED_SET_SIZE);
         // Candidate swaps: edges touching a qubit of a blocked front op.
         let mut front_phys = std::collections::BTreeSet::new();
         for &i in &blocked {
@@ -640,7 +625,7 @@ pub(crate) fn sabre_route(
                     .sum::<f64>()
                     / extended.len() as f64
             };
-            decay[p1 as usize].max(decay[p2 as usize]) * (front + params.extended_set_weight * look)
+            decay[p1 as usize].max(decay[p2 as usize]) * (front + EXTENDED_SET_WEIGHT * look)
         };
         // Score each candidate in place: swap, score, swap back.
         let mut best: Option<((u32, u32), f64)> = None;
@@ -700,17 +685,11 @@ fn lookahead_2q(sched: &OpScheduler<'_>, front: &[usize], limit: usize) -> Vec<u
 
 /// TKET-style router: SABRE-like swap scoring plus BRIDGE templates for
 /// distance-2 CNOTs (realizing a remote CX without changing the layout).
-#[derive(Debug, Clone, Copy)]
-pub struct TketRouting {
-    /// Lookahead window size for swap scoring.
-    pub lookahead: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TketRouting;
 
-impl Default for TketRouting {
-    fn default() -> Self {
-        TketRouting { lookahead: 10 }
-    }
-}
+/// Two-qubit ops in [`TketRouting`]'s lookahead window.
+const LOOKAHEAD: usize = 10;
 
 impl Pass for TketRouting {
     fn name(&self) -> &'static str {
@@ -723,7 +702,6 @@ impl Pass for TketRouting {
         ctx: &PassContext<'_>,
     ) -> Result<PassOutcome, PassError> {
         let device = ctx.require_device(self.name())?;
-        let lookahead = self.lookahead;
         let (routed, perm) = route_with(circuit, device, move |sched, tracker, out, coupling| {
             let blocked = sched.blocked_2q(tracker, coupling);
             let &first = blocked.first().ok_or(PassError::SynthesisFailed {
@@ -744,7 +722,7 @@ impl Pass for TketRouting {
             }
             // Otherwise choose the swap minimizing front + lookahead
             // distance, among edges touching the blocked front.
-            let extended = lookahead_2q(sched, &blocked, lookahead);
+            let extended = lookahead_2q(sched, &blocked, LOOKAHEAD);
             let mut front_phys = std::collections::BTreeSet::new();
             for &i in &blocked {
                 for q in sched.circuit.ops()[i].qubits.iter() {
@@ -799,15 +777,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn all_routers() -> Vec<Box<dyn Pass>> {
-        vec![
-            Box::new(BasicSwap),
-            Box::new(StochasticSwap::default()),
-            Box::new(SabreSwap::default()),
-            Box::new(TketRouting::default()),
-        ]
-    }
-
     /// A circuit needing routing on a ring: long-range CX pairs.
     fn hard_circuit(n: u32) -> QuantumCircuit {
         let mut qc = QuantumCircuit::new(n);
@@ -828,7 +797,7 @@ mod tests {
     fn routed_circuits_respect_coupling() {
         let dev = Device::get(DeviceId::OqcLucy);
         let qc = hard_circuit(8);
-        for router in all_routers() {
+        for router in crate::ROUTERS {
             let out = router
                 .apply(&qc, &PassContext::for_device(&dev))
                 .unwrap_or_else(|e| panic!("{}: {e}", router.name()));
@@ -846,7 +815,7 @@ mod tests {
         let dev = Device::get(DeviceId::OqcLucy);
         let mut qc = QuantumCircuit::new(5);
         qc.h(0).cx(0, 3).t(3).cx(1, 4).cx(0, 4).rz(0.7, 2).cx(2, 0);
-        for router in all_routers() {
+        for router in crate::ROUTERS {
             let out = router.apply(&qc, &PassContext::for_device(&dev)).unwrap();
             let WireEffect::Permute(perm) = &out.effect else {
                 panic!("{} must permute", router.name());
@@ -870,7 +839,7 @@ mod tests {
         let dev = Device::get(DeviceId::OqcLucy);
         let mut qc = QuantumCircuit::new(8);
         qc.cx(0, 1).cx(1, 2).cx(7, 0).h(3);
-        for router in all_routers() {
+        for router in crate::ROUTERS {
             let out = router.apply(&qc, &PassContext::for_device(&dev)).unwrap();
             assert_eq!(
                 out.circuit.num_two_qubit_gates(),
@@ -889,7 +858,7 @@ mod tests {
     fn too_wide_circuit_is_rejected() {
         let dev = Device::get(DeviceId::OqcLucy);
         let qc = QuantumCircuit::new(9);
-        for router in all_routers() {
+        for router in crate::ROUTERS {
             assert!(matches!(
                 router.apply(&qc, &PassContext::for_device(&dev)),
                 Err(PassError::CircuitTooWide { .. })
@@ -902,7 +871,7 @@ mod tests {
         let dev = Device::get(DeviceId::IbmqMontreal);
         let mut qc = QuantumCircuit::new(3);
         qc.cx(0, 2).cx(1, 2);
-        for router in all_routers() {
+        for router in crate::ROUTERS {
             let out = router.apply(&qc, &PassContext::for_device(&dev)).unwrap();
             assert_eq!(out.circuit.num_qubits(), 27, "{}", router.name());
             assert!(dev.check_connectivity(&out.circuit));
@@ -939,7 +908,7 @@ mod tests {
         let dev = Device::get(DeviceId::OqcLucy); // ring of 8
         let mut qc = QuantumCircuit::new(8);
         qc.cx(0, 2); // distance 2 on the ring
-        let out = TketRouting::default()
+        let out = TketRouting
             .apply(&qc, &PassContext::for_device(&dev))
             .unwrap();
         // Bridge: 4 CX, no swaps, identity permutation.
@@ -965,14 +934,14 @@ mod tests {
     fn stochastic_routing_is_deterministic_per_seed() {
         let dev = Device::get(DeviceId::OqcLucy);
         let qc = hard_circuit(8);
-        let a = StochasticSwap::default()
+        let a = StochasticSwap
             .apply(&qc, &PassContext::for_device(&dev).with_seed(11))
             .unwrap();
-        let b = StochasticSwap::default()
+        let b = StochasticSwap
             .apply(&qc, &PassContext::for_device(&dev).with_seed(11))
             .unwrap();
         assert_eq!(a, b);
-        let c = StochasticSwap::default()
+        let c = StochasticSwap
             .apply(&qc, &PassContext::for_device(&dev).with_seed(12))
             .unwrap();
         // Different seeds may produce different (still valid) results;
@@ -987,7 +956,7 @@ mod tests {
         let basic = BasicSwap
             .apply(&qc, &PassContext::for_device(&dev))
             .unwrap();
-        let sabre = SabreSwap::default()
+        let sabre = SabreSwap
             .apply(&qc, &PassContext::for_device(&dev))
             .unwrap();
         let swaps = |c: &QuantumCircuit| c.count_ops().get("swap").copied().unwrap_or(0);

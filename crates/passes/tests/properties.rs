@@ -7,7 +7,7 @@ use qrc_circuit::strategies::small_gate_circuit;
 use qrc_circuit::QuantumCircuit;
 use qrc_device::{Device, DeviceId};
 use qrc_passes::synthesis::BasisTranslator;
-use qrc_passes::{optimization_passes, Pass, PassContext, WireEffect};
+use qrc_passes::{Pass, PassContext, WireEffect, LAYOUTS, OPTIMIZATIONS, ROUTERS};
 use qrc_sim::equiv::{mapped_circuit_equivalent, measurement_equivalent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +21,7 @@ proptest! {
     #[test]
     fn optimization_passes_preserve_distribution(qc in small_gate_circuit(1..=5, 24)) {
         let ctx = PassContext::device_free();
-        for pass in optimization_passes() {
+        for pass in OPTIMIZATIONS {
             let out = pass.apply(&qc, &ctx)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", pass.name()));
             prop_assert!(
@@ -37,7 +37,7 @@ proptest! {
     #[test]
     fn optimization_passes_never_grow_circuits(qc in small_gate_circuit(1..=5, 24)) {
         let ctx = PassContext::device_free();
-        for pass in optimization_passes() {
+        for pass in OPTIMIZATIONS {
             let out = pass.apply(&qc, &ctx).unwrap();
             let (in_2q, out_2q) = (qc.num_two_qubit_gates(), out.circuit.num_two_qubit_gates());
             prop_assert!(
@@ -73,10 +73,10 @@ proptest! {
     fn layout_then_routing_is_sound(qc in small_gate_circuit(2..=5, 14)) {
         let dev = Device::get(DeviceId::OqcLucy);
         let ctx = PassContext::for_device(&dev).with_seed(17);
-        for layout_pass in qrc_passes::layout_passes() {
+        for layout_pass in LAYOUTS {
             let laid = layout_pass.apply(&qc, &ctx).unwrap();
             let WireEffect::SetLayout(layout) = laid.effect else { panic!() };
-            for routing_pass in qrc_passes::routing_passes() {
+            for routing_pass in ROUTERS {
                 let routed = routing_pass.apply(&laid.circuit, &ctx).unwrap();
                 prop_assert!(
                     dev.check_connectivity(&routed.circuit),
@@ -106,7 +106,7 @@ proptest! {
     #[test]
     fn passes_are_deterministic(qc in small_gate_circuit(1..=4, 16)) {
         let ctx = PassContext::device_free().with_seed(3);
-        for pass in optimization_passes() {
+        for pass in OPTIMIZATIONS {
             let a = pass.apply(&qc, &ctx).unwrap();
             let b = pass.apply(&qc, &ctx).unwrap();
             prop_assert_eq!(a.circuit, b.circuit, "{} nondeterministic", pass.name());
@@ -129,7 +129,7 @@ fn optimization_passes_idempotent_on_sample() {
         .cz(0, 3)
         .measure_all();
     let ctx = PassContext::device_free();
-    for pass in optimization_passes() {
+    for pass in OPTIMIZATIONS {
         let once = pass.apply(&qc, &ctx).unwrap().circuit;
         let twice = pass.apply(&once, &ctx).unwrap().circuit;
         assert_eq!(once, twice, "{} not idempotent", pass.name());

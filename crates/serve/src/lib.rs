@@ -6,7 +6,8 @@
 //!
 //! Four layers, composed by [`CompilationService`]:
 //!
-//! * [`ModelRegistry`] — persists [`TrainedPredictor`] checkpoints to
+//! * [`ModelRegistry`] — persists
+//!   [`TrainedPredictor`](qrc_predictor::TrainedPredictor) checkpoints to
 //!   disk, keyed by [`ShardKey`] (`objective × device-class × width
 //!   band`); the scheduler routes each request to the most specific
 //!   matching shard through a deterministic fallback chain, and the

@@ -15,9 +15,7 @@ use std::sync::Arc;
 use std::time::UNIX_EPOCH;
 
 use qrc_circuit::QuantumCircuit;
-use qrc_predictor::{
-    task_seed, train, PersistError, PredictorConfig, RewardKind, TrainedPredictor,
-};
+use qrc_predictor::{PersistError, RewardKind, TrainedPredictor};
 use serde_json::Value;
 
 use crate::shard::{RouteLevel, ShardKey};
@@ -272,8 +270,8 @@ impl ModelRegistry {
     /// Loads checkpoints from `dir`, training and persisting whatever
     /// is missing: the three objective-only wildcard shards (so a
     /// partial fleet still answers every objective) plus every
-    /// explicitly requested `extra` shard, each trained on its
-    /// shard-scoped benchmark slice ([`ShardKey::suite_slice`]).
+    /// explicitly requested `extra` shard, each trained by
+    /// [`ShardKey::train`] on its shard-scoped benchmark slice.
     ///
     /// `ensure` is self-healing: a checkpoint that fails to parse
     /// (torn by a crash, corrupted on disk, or holding the wrong
@@ -283,8 +281,7 @@ impl ModelRegistry {
     /// are swept first.
     ///
     /// Wildcard shards train with the master `seed` (bit-compatible
-    /// with pre-sharding checkpoints); every other shard mixes the
-    /// shard tag into its seed so sibling shards explore independently.
+    /// with pre-sharding checkpoints).
     ///
     /// `progress` is invoked with the shard name before each
     /// (potentially slow) training run; pass a no-op when silent.
@@ -340,15 +337,7 @@ impl ModelRegistry {
                 continue;
             }
             progress(&key.name());
-            let shard_seed = if key == ShardKey::wildcard(key.objective) {
-                seed
-            } else {
-                task_seed(seed, key.tag())
-            };
-            let mut config = PredictorConfig::new(key.objective, timesteps);
-            config.seed = shard_seed;
-            config.step_penalty = step_penalty;
-            let model = train(key.suite_slice(suite), &config);
+            let model = key.train(suite, timesteps, seed, step_penalty);
             let path = Self::model_path(dir, key);
             model.save(&path)?;
             let stamp = CheckpointStamp::capture(&path);

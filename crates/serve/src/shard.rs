@@ -17,7 +17,7 @@
 
 use qrc_circuit::QuantumCircuit;
 use qrc_device::{Device, DeviceId, DeviceRegistry, Platform};
-use qrc_predictor::RewardKind;
+use qrc_predictor::{task_seed, PredictorConfig, RewardKind, TrainedPredictor};
 
 /// The device dimension of a shard: a hardware platform family, or the
 /// wildcard matching any (including unpinned requests).
@@ -396,6 +396,28 @@ impl ShardKey {
         } else {
             suite.to_vec()
         }
+    }
+
+    /// Trains this shard's policy on its [`ShardKey::suite_slice`] of
+    /// `suite`: the one recipe behind every shard checkpoint. The
+    /// objective-only wildcard trains with the master `seed`; any other
+    /// shard mixes its [`ShardKey::tag`] in with [`task_seed`], so
+    /// sibling shards explore independently.
+    pub fn train(
+        &self,
+        suite: &[QuantumCircuit],
+        timesteps: usize,
+        seed: u64,
+        step_penalty: f64,
+    ) -> TrainedPredictor {
+        let mut config = PredictorConfig::new(self.objective, timesteps);
+        config.seed = if *self == ShardKey::wildcard(self.objective) {
+            seed
+        } else {
+            task_seed(seed, self.tag())
+        };
+        config.step_penalty = step_penalty;
+        qrc_predictor::train(self.suite_slice(suite), &config)
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example pass_playground`
 
-use mqt_predictor::passes::{optimization_passes, PassContext};
+use mqt_predictor::passes::{PassContext, OPTIMIZATIONS};
 use mqt_predictor::prelude::*;
 use mqt_predictor::sim::equiv::measurement_equivalent;
 
@@ -32,7 +32,7 @@ fn main() {
     let ctx = PassContext::device_free();
     println!("{:<40} {:>6} {:>6}  semantics", "pass", "gates", "2q");
     println!("{}", "-".repeat(68));
-    for pass in optimization_passes() {
+    for pass in OPTIMIZATIONS {
         let out = pass.apply(&circuit, &ctx).expect("pass application");
         let ok = measurement_equivalent(&circuit, &out.circuit, 1e-7).unwrap();
         println!(
@@ -47,7 +47,7 @@ fn main() {
     // Chain the heavy hitters, as the RL agent might.
     println!("\nChaining FullPeepholeOptimise → RemoveRedundancies:");
     let mut current = circuit.clone();
-    for pass in optimization_passes()
+    for pass in OPTIMIZATIONS
         .into_iter()
         .filter(|p| matches!(p.name(), "FullPeepholeOptimise" | "RemoveRedundancies"))
     {
