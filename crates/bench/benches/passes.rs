@@ -4,11 +4,11 @@
 //! per-action cost determines RL training throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use qrc_benchgen::BenchmarkFamily;
-use qrc_circuit::QuantumCircuit;
-use qrc_circuit::Qubit;
+use qrc_benchgen::{paper_suite, BenchmarkFamily};
+use qrc_circuit::{qasm, QuantumCircuit, Qubit};
 use qrc_device::{Device, DeviceId};
 use qrc_passes::kak::{kak_decompose, synthesize_2q};
+use qrc_passes::synthesis::BasisTranslator;
 use qrc_passes::{Pass, PassContext, LAYOUTS, OPTIMIZATIONS, ROUTERS};
 use std::time::Duration;
 
@@ -92,8 +92,33 @@ fn synthesis_benchmarks(c: &mut Criterion) {
         let dev = Device::get(dev_id);
         group.bench_function(format!("basis_translation/{}", dev.name()), |b| {
             let ctx = PassContext::for_device(&dev);
-            let pass = qrc_passes::synthesis::BasisTranslator;
-            b.iter(|| pass.apply(black_box(&qc), &ctx).unwrap());
+            b.iter(|| BasisTranslator.apply(black_box(&qc), &ctx).unwrap());
+        });
+    }
+    // Whole sets per iteration: the miss-ion requests (`paper_suite(2,
+    // 11)` after a QASM round trip, as served) to ionq, and the 6–10-qubit
+    // suite to washington, the miss-wide widths.
+    let miss_ion: Vec<QuantumCircuit> = paper_suite(2, 11)
+        .iter()
+        .map(|qc| qasm::from_qasm(&qasm::to_qasm(qc)).unwrap())
+        .collect();
+    let sets = [
+        ("miss_ion_set", DeviceId::IonqHarmony, miss_ion),
+        (
+            "paper_suite_6_10",
+            DeviceId::IbmqWashington,
+            paper_suite(6, 10),
+        ),
+    ];
+    for (set, dev_id, circuits) in &sets {
+        let dev = Device::get(*dev_id);
+        group.bench_function(format!("basis_translation/{set}/{}", dev.name()), |b| {
+            let ctx = PassContext::for_device(&dev);
+            b.iter(|| {
+                for qc in circuits {
+                    black_box(BasisTranslator.apply(black_box(qc), &ctx).unwrap());
+                }
+            });
         });
     }
     group.finish();

@@ -5,7 +5,7 @@
 //! gates carry their angles inline (`f64` radians), so an [`Gate`] is `Copy`
 //! and cheap to move through pass pipelines.
 
-use crate::math::{CMatrix, Complex};
+use crate::math::{CMatrix, Complex, Mat2};
 use serde::{Deserialize, Serialize};
 use std::f64::consts::{FRAC_PI_2, PI};
 use std::fmt;
@@ -331,7 +331,8 @@ impl Gate {
 
     /// The unitary matrix of the gate (dimension `2^k` for a `k`-qubit
     /// gate), using the convention that qubit 0 of the gate is the **most
-    /// significant** bit of the index.
+    /// significant** bit of the index. A one-qubit gate's matrix is
+    /// [`Gate::matrix_1q`] on the heap.
     ///
     /// # Panics
     ///
@@ -344,49 +345,6 @@ impl Gate {
         let i = Complex::I;
         let s2 = 1.0 / 2.0_f64.sqrt();
         match self {
-            I => CMatrix::identity(2),
-            X => CMatrix::from_rows(&[[z, o], [o, z]]),
-            Y => CMatrix::from_rows(&[[z, -i], [i, z]]),
-            Z => CMatrix::from_rows(&[[o, z], [z, -o]]),
-            H => CMatrix::from_rows(&[
-                [Complex::real(s2), Complex::real(s2)],
-                [Complex::real(s2), Complex::real(-s2)],
-            ]),
-            S => CMatrix::from_rows(&[[o, z], [z, i]]),
-            Sdg => CMatrix::from_rows(&[[o, z], [z, -i]]),
-            T => CMatrix::from_rows(&[[o, z], [z, Complex::cis(PI / 4.0)]]),
-            Tdg => CMatrix::from_rows(&[[o, z], [z, Complex::cis(-PI / 4.0)]]),
-            Sx => CMatrix::from_rows(&[
-                [Complex::new(0.5, 0.5), Complex::new(0.5, -0.5)],
-                [Complex::new(0.5, -0.5), Complex::new(0.5, 0.5)],
-            ]),
-            Sxdg => CMatrix::from_rows(&[
-                [Complex::new(0.5, -0.5), Complex::new(0.5, 0.5)],
-                [Complex::new(0.5, 0.5), Complex::new(0.5, -0.5)],
-            ]),
-            Rx(t) => {
-                let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
-                CMatrix::from_rows(&[
-                    [Complex::real(c), Complex::new(0.0, -s)],
-                    [Complex::new(0.0, -s), Complex::real(c)],
-                ])
-            }
-            Ry(t) => {
-                let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
-                CMatrix::from_rows(&[
-                    [Complex::real(c), Complex::real(-s)],
-                    [Complex::real(s), Complex::real(c)],
-                ])
-            }
-            Rz(t) => CMatrix::from_rows(&[[Complex::cis(-t / 2.0), z], [z, Complex::cis(t / 2.0)]]),
-            P(t) => CMatrix::from_rows(&[[o, z], [z, Complex::cis(t)]]),
-            U(t, p, l) => {
-                let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
-                CMatrix::from_rows(&[
-                    [Complex::real(c), Complex::cis(l) * (-s)],
-                    [Complex::cis(p) * s, Complex::cis(p + l) * c],
-                ])
-            }
             Cx => controlled(X.matrix()),
             Cy => controlled(Y.matrix()),
             Cz => controlled(Z.matrix()),
@@ -434,6 +392,83 @@ impl Gate {
                 m
             }
             Measure | Barrier => panic!("non-unitary directive {self:?} has no matrix"),
+            I | X | Y | Z | H | S | Sdg | T | Tdg | Sx | Sxdg | Rx(_) | Ry(_) | Rz(_) | P(_)
+            | U(..) => {
+                let [a, b, c, d] = self.matrix_1q();
+                CMatrix::from_rows(&[[a, b], [c, d]])
+            }
+        }
+    }
+
+    /// The 2×2 unitary of a one-qubit gate, on the stack. This is the one
+    /// declaration of every one-qubit matrix; [`Gate::matrix`] wraps it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gate is not a one-qubit unitary.
+    pub fn matrix_1q(self) -> Mat2 {
+        use Gate::*;
+        let z = Complex::ZERO;
+        let o = Complex::ONE;
+        let i = Complex::I;
+        let s2 = 1.0 / 2.0_f64.sqrt();
+        match self {
+            I => [o, z, z, o],
+            X => [z, o, o, z],
+            Y => [z, -i, i, z],
+            Z => [o, z, z, -o],
+            H => [
+                Complex::real(s2),
+                Complex::real(s2),
+                Complex::real(s2),
+                Complex::real(-s2),
+            ],
+            S => [o, z, z, i],
+            Sdg => [o, z, z, -i],
+            T => [o, z, z, Complex::cis(PI / 4.0)],
+            Tdg => [o, z, z, Complex::cis(-PI / 4.0)],
+            Sx => [
+                Complex::new(0.5, 0.5),
+                Complex::new(0.5, -0.5),
+                Complex::new(0.5, -0.5),
+                Complex::new(0.5, 0.5),
+            ],
+            Sxdg => [
+                Complex::new(0.5, -0.5),
+                Complex::new(0.5, 0.5),
+                Complex::new(0.5, 0.5),
+                Complex::new(0.5, -0.5),
+            ],
+            Rx(t) => {
+                let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
+                [
+                    Complex::real(c),
+                    Complex::new(0.0, -s),
+                    Complex::new(0.0, -s),
+                    Complex::real(c),
+                ]
+            }
+            Ry(t) => {
+                let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
+                [
+                    Complex::real(c),
+                    Complex::real(-s),
+                    Complex::real(s),
+                    Complex::real(c),
+                ]
+            }
+            Rz(t) => [Complex::cis(-t / 2.0), z, z, Complex::cis(t / 2.0)],
+            P(t) => [o, z, z, Complex::cis(t)],
+            U(t, p, l) => {
+                let (c, s) = ((t / 2.0).cos(), (t / 2.0).sin());
+                [
+                    Complex::real(c),
+                    Complex::cis(l) * (-s),
+                    Complex::cis(p) * s,
+                    Complex::cis(p + l) * c,
+                ]
+            }
+            _ => panic!("{self:?} is not a one-qubit unitary"),
         }
     }
 }

@@ -8,6 +8,10 @@
 //! Matrices are small (`2^k × 2^k` for `k ≤ 3` gate matrices, up to
 //! `16 × 16` for joint-support commutation checks), so a simple row-major
 //! `Vec<Complex>` representation is both adequate and cache-friendly.
+//! One-qubit matrices also live on the stack as [`Mat2`]; the matrix
+//! product and the LU determinant are written once, as slice kernels
+//! ([`matmul_into`], [`lu_det`]) that [`CMatrix`] and the 2×2 functions
+//! share.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -285,19 +289,8 @@ impl CMatrix {
     /// Panics if dimensions differ.
     pub fn matmul(&self, rhs: &CMatrix) -> CMatrix {
         assert_eq!(self.dim, rhs.dim, "matmul dimension mismatch");
-        let n = self.dim;
-        let mut out = CMatrix::zeros(n);
-        for i in 0..n {
-            for k in 0..n {
-                let a = self[(i, k)];
-                if a.re == 0.0 && a.im == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
+        let mut out = CMatrix::zeros(self.dim);
+        matmul_into(&self.data, &rhs.data, &mut out.data, self.dim);
         out
     }
 
@@ -356,48 +349,10 @@ impl CMatrix {
         (0..self.dim).fold(Complex::ZERO, |acc, i| acc + self[(i, i)])
     }
 
-    /// Determinant via LU decomposition with partial pivoting.
+    /// Determinant via LU decomposition with partial pivoting
+    /// ([`lu_det`] on a copy).
     pub fn det(&self) -> Complex {
-        let n = self.dim;
-        let mut a = self.clone();
-        let mut det = Complex::ONE;
-        for col in 0..n {
-            // Partial pivot: largest modulus in this column at/below diag.
-            let mut pivot = col;
-            let mut best = a[(col, col)].norm_sqr();
-            for row in (col + 1)..n {
-                let v = a[(row, col)].norm_sqr();
-                if v > best {
-                    best = v;
-                    pivot = row;
-                }
-            }
-            if best == 0.0 {
-                return Complex::ZERO;
-            }
-            if pivot != col {
-                for j in 0..n {
-                    let tmp = a[(col, j)];
-                    a[(col, j)] = a[(pivot, j)];
-                    a[(pivot, j)] = tmp;
-                }
-                det = -det;
-            }
-            let d = a[(col, col)];
-            det *= d;
-            let inv = d.recip();
-            for row in (col + 1)..n {
-                let factor = a[(row, col)] * inv;
-                if factor.re == 0.0 && factor.im == 0.0 {
-                    continue;
-                }
-                for j in col..n {
-                    let v = a[(col, j)];
-                    a[(row, j)] -= factor * v;
-                }
-            }
-        }
-        det
+        lu_det(&mut self.data.clone(), self.dim)
     }
 
     /// Returns `true` if every entry is within `tol` of `other`'s.
@@ -475,6 +430,95 @@ impl fmt::Display for CMatrix {
         }
         Ok(())
     }
+}
+
+/// A 2×2 complex matrix on the stack, row-major: `[m00, m01, m10, m11]`.
+/// Every one-qubit gate's matrix is declared as one
+/// ([`crate::Gate::matrix_1q`]).
+pub type Mat2 = [Complex; 4];
+
+/// The 2×2 identity.
+pub const IDENTITY_2X2: Mat2 = [Complex::ONE, Complex::ZERO, Complex::ZERO, Complex::ONE];
+
+/// Writes the product `a · b` of two row-major `n × n` matrices to `out`.
+///
+/// An exactly zero entry of `a` skips its row of `b`. [`CMatrix::matmul`]
+/// and [`matmul_2x2`] both run this loop, so they round alike.
+#[inline]
+pub fn matmul_into(a: &[Complex], b: &[Complex], out: &mut [Complex], n: usize) {
+    out.fill(Complex::ZERO);
+    for i in 0..n {
+        for k in 0..n {
+            let x = a[i * n + k];
+            if x.re == 0.0 && x.im == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                out[i * n + j] += x * b[k * n + j];
+            }
+        }
+    }
+}
+
+/// Determinant of the row-major `n × n` matrix in `a` by LU
+/// decomposition with partial pivoting; `a` is left eliminated.
+///
+/// The pivot is the first entry of largest modulus at or below the
+/// diagonal, and an exactly zero elimination factor skips its row.
+/// [`CMatrix::det`] and [`det_2x2`] both run this loop, so they round
+/// alike.
+#[inline]
+pub fn lu_det(a: &mut [Complex], n: usize) -> Complex {
+    let mut det = Complex::ONE;
+    for col in 0..n {
+        let mut pivot = col;
+        let mut best = a[col * n + col].norm_sqr();
+        for row in (col + 1)..n {
+            let v = a[row * n + col].norm_sqr();
+            if v > best {
+                best = v;
+                pivot = row;
+            }
+        }
+        if best == 0.0 {
+            return Complex::ZERO;
+        }
+        if pivot != col {
+            for j in 0..n {
+                a.swap(col * n + j, pivot * n + j);
+            }
+            det = -det;
+        }
+        let d = a[col * n + col];
+        det *= d;
+        let inv = d.recip();
+        for row in (col + 1)..n {
+            let factor = a[row * n + col] * inv;
+            if factor.re == 0.0 && factor.im == 0.0 {
+                continue;
+            }
+            for j in col..n {
+                let v = a[col * n + j];
+                a[row * n + j] -= factor * v;
+            }
+        }
+    }
+    det
+}
+
+/// The product `a · b` of two 2×2 matrices ([`matmul_into`]).
+#[inline]
+pub fn matmul_2x2(a: &Mat2, b: &Mat2) -> Mat2 {
+    let mut out = [Complex::ZERO; 4];
+    matmul_into(a, b, &mut out, 2);
+    out
+}
+
+/// The determinant of a 2×2 matrix ([`lu_det`] on a copy).
+#[inline]
+pub fn det_2x2(m: &Mat2) -> Complex {
+    let mut a = *m;
+    lu_det(&mut a, 2)
 }
 
 #[cfg(test)]

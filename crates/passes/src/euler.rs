@@ -8,8 +8,16 @@
 //!   `U ≅ Rz(φ+π) · √X · Rz(θ+π) · √X · Rz(λ)`,
 //! * Rigetti `{Rz, Rx}`: `Ry(θ) = Rx(π/2) · Rz(−θ) · Rx(−π/2)` inlined,
 //! * IonQ `{Rz, Ry}`: the ZYZ form directly.
+//!
+//! The kernel lives on the stack: it reads a [`Mat2`] (one-qubit
+//! matrices are declared once, by [`Gate::matrix_1q`]), takes the
+//! determinant with the LU routine [`CMatrix`](qrc_circuit::math::CMatrix)
+//! shares, and returns at most five gates inline ([`EulerGates`]), so a
+//! synthesis allocates nothing. `BasisTranslator`,
+//! `Optimize1qGatesDecomposition` and the KAK resynthesis all call
+//! [`synthesize_1q`].
 
-use qrc_circuit::math::CMatrix;
+use qrc_circuit::math::{det_2x2, matmul_2x2, Complex, Mat2};
 use qrc_circuit::{normalize_angle, Gate, ANGLE_TOL};
 use std::f64::consts::{FRAC_PI_2, PI};
 
@@ -26,20 +34,39 @@ pub struct ZyzAngles {
     pub alpha: f64,
 }
 
-/// Extracts ZYZ Euler angles from a 2×2 unitary.
-///
-/// # Panics
-///
-/// Panics if `u` is not 2×2 (callers always pass gate-sized matrices).
-pub fn zyz_angles(u: &CMatrix) -> ZyzAngles {
-    assert_eq!(u.dim(), 2, "zyz_angles needs a single-qubit matrix");
+/// Extracts ZYZ Euler angles, global phase included, from a 2×2 unitary.
+pub fn zyz_angles(u: &Mat2) -> ZyzAngles {
+    let (theta, phi, lambda) = zyz(u);
+    // Angle normalization can flip the SU(2) sign (2π shifts); recover the
+    // exact global phase from the rebuilt matrix, at its largest entry.
+    let rebuilt = matmul_2x2(
+        &matmul_2x2(&Gate::Rz(phi).matrix_1q(), &Gate::Ry(theta).matrix_1q()),
+        &Gate::Rz(lambda).matrix_1q(),
+    );
+    let (mut best, mut best_mag) = (0usize, 0.0f64);
+    for (i, v) in rebuilt.iter().enumerate() {
+        if v.abs() > best_mag {
+            best_mag = v.abs();
+            best = i;
+        }
+    }
+    ZyzAngles {
+        theta,
+        phi,
+        lambda,
+        alpha: (u[best] / rebuilt[best]).arg(),
+    }
+}
+
+/// The ZYZ angles `(θ, φ, λ)` of `u`, φ and λ normalized; the global
+/// phase, which no synthesis needs, is not computed.
+fn zyz(u: &Mat2) -> (f64, f64, f64) {
     // Normalize to SU(2): det(V) = 1.
-    let det = u.det();
-    let alpha0 = det.arg() / 2.0;
-    let inv_phase = qrc_circuit::math::Complex::cis(-alpha0);
-    let v00 = u[(0, 0)] * inv_phase;
-    let v10 = u[(1, 0)] * inv_phase;
-    let v11 = u[(1, 1)] * inv_phase;
+    let alpha0 = det_2x2(u).arg() / 2.0;
+    let inv_phase = Complex::cis(-alpha0);
+    let v00 = u[0] * inv_phase;
+    let v10 = u[2] * inv_phase;
+    let v11 = u[3] * inv_phase;
 
     // V = [[cos(θ/2)·e^{-i(φ+λ)/2}, -sin(θ/2)·e^{-i(φ-λ)/2}],
     //      [sin(θ/2)·e^{ i(φ-λ)/2},  cos(θ/2)·e^{ i(φ+λ)/2}]]
@@ -55,30 +82,7 @@ pub fn zyz_angles(u: &CMatrix) -> ZyzAngles {
         let diff = 2.0 * v10.arg(); // φ−λ
         ((sum + diff) / 2.0, (sum - diff) / 2.0)
     };
-    let phi = normalize_angle(phi);
-    let lambda = normalize_angle(lambda);
-    // Angle normalization can flip the SU(2) sign (2π shifts); recover the
-    // exact global phase from the rebuilt matrix rather than trusting α₀.
-    let rebuilt = Gate::Rz(phi)
-        .matrix()
-        .matmul(&Gate::Ry(theta).matrix())
-        .matmul(&Gate::Rz(lambda).matrix());
-    let (mut best, mut best_mag) = (0usize, 0.0f64);
-    for (i, v) in rebuilt.as_slice().iter().enumerate() {
-        if v.abs() > best_mag {
-            best_mag = v.abs();
-            best = i;
-        }
-    }
-    let (r, c) = (best / 2, best % 2);
-    let alpha = (u[(r, c)] / rebuilt[(r, c)]).arg();
-    let _ = alpha0;
-    ZyzAngles {
-        theta,
-        phi,
-        lambda,
-        alpha,
-    }
+    (theta, normalize_angle(phi), normalize_angle(lambda))
 }
 
 /// The single-qubit target bases supported by the synthesizer.
@@ -94,23 +98,49 @@ pub enum OneQubitBasis {
     UGate,
 }
 
+/// The gates of one single-qubit synthesis, in circuit order: an inline
+/// list of at most five gates (3 rotations + 2 fixed), read as a slice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EulerGates {
+    gates: [Gate; 5],
+    len: u8,
+}
+
+impl EulerGates {
+    fn push(&mut self, gate: Gate) {
+        self.gates[self.len as usize] = gate;
+        self.len += 1;
+    }
+
+    /// Pushes `Rz(angle)` with the angle normalized, unless it is a
+    /// near-identity.
+    fn push_rz(&mut self, angle: f64) {
+        let a = normalize_angle(angle);
+        if a.abs() >= ANGLE_TOL {
+            self.push(Gate::Rz(a));
+        }
+    }
+}
+
+impl std::ops::Deref for EulerGates {
+    type Target = [Gate];
+    fn deref(&self) -> &[Gate] {
+        &self.gates[..self.len as usize]
+    }
+}
+
 /// Synthesizes the gate sequence (in circuit order) realizing `u` up to
 /// global phase in the chosen basis, dropping near-identity rotations.
 ///
 /// The returned sequence is at most 5 gates (3 rotations + 2 fixed) and
 /// empty when `u` is the identity.
-pub fn synthesize_1q(u: &CMatrix, basis: OneQubitBasis) -> Vec<Gate> {
-    let angles = zyz_angles(u);
-    synthesize_1q_from_angles(angles, basis)
-}
-
-/// Like [`synthesize_1q`] but from precomputed angles.
-pub fn synthesize_1q_from_angles(angles: ZyzAngles, basis: OneQubitBasis) -> Vec<Gate> {
-    let ZyzAngles {
-        theta, phi, lambda, ..
-    } = angles;
+pub fn synthesize_1q(u: &Mat2, basis: OneQubitBasis) -> EulerGates {
+    let (theta, phi, lambda) = zyz(u);
     let near = |x: f64, y: f64| normalize_angle(x - y).abs() < ANGLE_TOL;
-    let mut out = Vec::new();
+    let mut out = EulerGates {
+        gates: [Gate::I; 5],
+        len: 0,
+    };
     match basis {
         OneQubitBasis::UGate => {
             if !(near(theta, 0.0) && near(phi + lambda, 0.0)) {
@@ -121,79 +151,72 @@ pub fn synthesize_1q_from_angles(angles: ZyzAngles, basis: OneQubitBasis) -> Vec
             // Circuit order: Rz(λ), Ry(θ), Rz(φ).
             if theta.abs() < ANGLE_TOL {
                 // Diagonal — merge into one Rz.
-                push_rz(&mut out, phi + lambda);
+                out.push_rz(phi + lambda);
             } else {
-                push_rz(&mut out, lambda);
+                out.push_rz(lambda);
                 out.push(Gate::Ry(theta));
-                push_rz(&mut out, phi);
+                out.push_rz(phi);
             }
         }
         OneQubitBasis::ZxBasis => {
             // Ry(θ) = Rx(π/2) · Rz(−θ) · Rx(−π/2)  (matrix order), so in
             // circuit order: Rx(−π/2), Rz(−θ), Rx(π/2).
             if theta.abs() < ANGLE_TOL {
-                push_rz(&mut out, phi + lambda);
+                out.push_rz(phi + lambda);
             } else {
-                push_rz(&mut out, lambda);
+                out.push_rz(lambda);
                 out.push(Gate::Rx(-FRAC_PI_2));
-                push_rz(&mut out, -theta);
+                out.push_rz(-theta);
                 out.push(Gate::Rx(FRAC_PI_2));
-                push_rz(&mut out, phi);
+                out.push_rz(phi);
             }
         }
         OneQubitBasis::ZsxBasis => {
             // U(θ,φ,λ) ≅ Rz(φ+π) · √X · Rz(θ+π) · √X · Rz(λ)  (matrix
             // order). Special cases avoid unnecessary √X gates:
             //  θ ≈ 0   → single Rz(φ+λ)
-            //  θ ≈ π/2 → Rz(φ+π/2) · √X · Rz(λ+π/2)? (one √X)
+            //  θ ≈ π/2 → Rz(φ+π/2) · √X · Rz(λ−π/2) (one √X)
             if near(theta, 0.0) {
-                push_rz(&mut out, phi + lambda);
+                out.push_rz(phi + lambda);
             } else if near(theta, FRAC_PI_2) {
                 // Circuit order: Rz(λ − π/2), SX, Rz(φ + π/2).
-                push_rz(&mut out, lambda - FRAC_PI_2);
+                out.push_rz(lambda - FRAC_PI_2);
                 out.push(Gate::Sx);
-                push_rz(&mut out, phi + FRAC_PI_2);
+                out.push_rz(phi + FRAC_PI_2);
             } else {
                 // Circuit order: Rz(λ), SX, Rz(θ+π), SX, Rz(φ+π).
-                push_rz(&mut out, lambda);
+                out.push_rz(lambda);
                 out.push(Gate::Sx);
-                push_rz(&mut out, theta + PI);
+                out.push_rz(theta + PI);
                 out.push(Gate::Sx);
-                push_rz(&mut out, phi + PI);
+                out.push_rz(phi + PI);
             }
         }
     }
     out
 }
 
-fn push_rz(out: &mut Vec<Gate>, angle: f64) {
-    let a = normalize_angle(angle);
-    if a.abs() >= ANGLE_TOL {
-        out.push(Gate::Rz(a));
-    }
-}
-
-/// Multiplies the matrices of a gate sequence given in circuit order
-/// (i.e. returns `g_n · … · g_2 · g_1`). All gates must be single-qubit.
-pub fn sequence_matrix(gates: &[Gate]) -> CMatrix {
-    let mut m = CMatrix::identity(2);
-    for g in gates {
-        debug_assert_eq!(g.num_qubits(), 1);
-        m = g.matrix().matmul(&m);
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrc_circuit::math::Complex;
+    use qrc_circuit::math::{CMatrix, IDENTITY_2X2};
 
-    fn assert_synthesis_ok(u: &CMatrix, basis: OneQubitBasis) {
+    /// Multiplies the matrices of a gate sequence given in circuit order
+    /// (i.e. returns `g_n · … · g_2 · g_1`).
+    fn sequence_matrix(gates: &[Gate]) -> CMatrix {
+        let mut m = CMatrix::identity(2);
+        for g in gates {
+            m = g.matrix().matmul(&m);
+        }
+        m
+    }
+
+    fn assert_synthesis_ok(u: &Mat2, basis: OneQubitBasis) {
         let gates = synthesize_1q(u, basis);
         let m = sequence_matrix(&gates);
+        let [a, b, c, d] = *u;
         assert!(
-            m.approx_eq_up_to_phase(u, 1e-9),
+            m.approx_eq_up_to_phase(&CMatrix::from_rows(&[[a, b], [c, d]]), 1e-9),
             "basis {basis:?}: synthesized {gates:?} does not match"
         );
         assert!(gates.len() <= 5, "too many gates: {gates:?}");
@@ -224,7 +247,7 @@ mod tests {
     fn zyz_reconstructs_the_matrix() {
         for g in test_gates() {
             let u = g.matrix();
-            let a = zyz_angles(&u);
+            let a = zyz_angles(&g.matrix_1q());
             let rebuilt = Gate::Rz(a.phi)
                 .matrix()
                 .matmul(&Gate::Ry(a.theta).matrix())
@@ -237,7 +260,7 @@ mod tests {
     #[test]
     fn zyz_theta_in_range() {
         for g in test_gates() {
-            let a = zyz_angles(&g.matrix());
+            let a = zyz_angles(&g.matrix_1q());
             assert!((0.0..=PI + 1e-12).contains(&a.theta), "{g:?}");
         }
     }
@@ -251,7 +274,7 @@ mod tests {
                 OneQubitBasis::ZxBasis,
                 OneQubitBasis::ZsxBasis,
             ] {
-                assert_synthesis_ok(&g.matrix(), basis);
+                assert_synthesis_ok(&g.matrix_1q(), basis);
             }
         }
     }
@@ -264,10 +287,10 @@ mod tests {
             OneQubitBasis::ZxBasis,
             OneQubitBasis::ZsxBasis,
         ] {
-            let gates = synthesize_1q(&CMatrix::identity(2), basis);
+            let gates = synthesize_1q(&IDENTITY_2X2, basis);
             assert!(gates.is_empty(), "{basis:?} produced {gates:?}");
             // Global-phase-only matrices too.
-            let phased = CMatrix::identity(2).scale(Complex::cis(1.23));
+            let phased = IDENTITY_2X2.map(|v| v * Complex::cis(1.23));
             let gates = synthesize_1q(&phased, basis);
             assert!(gates.is_empty(), "{basis:?} produced {gates:?}");
         }
@@ -275,7 +298,7 @@ mod tests {
 
     #[test]
     fn diagonal_gates_need_one_rz() {
-        let gates = synthesize_1q(&Gate::T.matrix(), OneQubitBasis::ZsxBasis);
+        let gates = synthesize_1q(&Gate::T.matrix_1q(), OneQubitBasis::ZsxBasis);
         assert_eq!(gates.len(), 1);
         assert!(matches!(gates[0], Gate::Rz(_)));
     }
@@ -283,7 +306,7 @@ mod tests {
     #[test]
     fn sx_like_gates_use_single_sx() {
         // H has θ = π/2, so the ZSX basis should use only one √X.
-        let gates = synthesize_1q(&Gate::H.matrix(), OneQubitBasis::ZsxBasis);
+        let gates = synthesize_1q(&Gate::H.matrix_1q(), OneQubitBasis::ZsxBasis);
         let sx_count = gates.iter().filter(|g| **g == Gate::Sx).count();
         assert_eq!(sx_count, 1, "H should need exactly one √X: {gates:?}");
     }
@@ -303,7 +326,7 @@ mod tests {
                     matches!(g, Gate::Rz(_) | Gate::Ry(_))
                 }),
             ] {
-                let gates = synthesize_1q(&g.matrix(), basis);
+                let gates = synthesize_1q(&g.matrix_1q(), basis);
                 assert!(
                     gates.iter().all(pred),
                     "{g:?} in {basis:?} produced {gates:?}"

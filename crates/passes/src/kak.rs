@@ -22,7 +22,7 @@
 
 use crate::euler::{synthesize_1q, OneQubitBasis};
 use qrc_circuit::commute::embed;
-use qrc_circuit::math::{CMatrix, Complex};
+use qrc_circuit::math::{CMatrix, Complex, Mat2};
 use qrc_circuit::{Gate, Operation, Qubit};
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
@@ -529,9 +529,9 @@ pub fn ops_unitary(ops: &[Operation], q0: Qubit, q1: Qubit) -> CMatrix {
 }
 
 fn emit_1q(u: &CMatrix, q: Qubit, ops: &mut Vec<Operation>) {
-    for g in synthesize_1q(u, OneQubitBasis::UGate) {
-        ops.push(Operation::new(g, &[q]));
-    }
+    let u: &Mat2 = u.as_slice().try_into().expect("a local factor is 2×2");
+    let gates = synthesize_1q(u, OneQubitBasis::UGate);
+    ops.extend(gates.iter().map(|&g| Operation::new(g, &[q])));
 }
 
 /// Emits `CAN(x, y, z)` over `{1q, CX}` with the cheapest template.

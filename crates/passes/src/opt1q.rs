@@ -8,7 +8,7 @@
 use crate::euler::{synthesize_1q, OneQubitBasis};
 use crate::pass::{Pass, PassContext, PassError, PassOutcome};
 use crate::synthesis::one_qubit_basis;
-use qrc_circuit::math::CMatrix;
+use qrc_circuit::math::{matmul_2x2, IDENTITY_2X2};
 use qrc_circuit::{commute, normalize_angle, normalize_angle_4pi, Gate, Operation, QuantumCircuit};
 
 /// Removes pairs of adjacent operations for which `cancels(a, b)` holds
@@ -414,25 +414,25 @@ impl Pass for Optimize1qGates {
         let mut runs: Vec<Vec<Operation>> = vec![Vec::new(); n];
 
         let flush = |runs: &mut Vec<Vec<Operation>>, w: usize, out: &mut Vec<Operation>| {
-            let run = std::mem::take(&mut runs[w]);
+            let run = &mut runs[w];
             if run.is_empty() {
                 return;
             }
             // Multiply the run (circuit order → matrix product).
-            let mut m = CMatrix::identity(2);
-            for op in &run {
-                m = op.gate.matrix().matmul(&m);
+            let mut m = IDENTITY_2X2;
+            for op in run.iter() {
+                m = matmul_2x2(&op.gate.matrix_1q(), &m);
             }
             let synth = synthesize_1q(&m, basis);
             let shorter = synth.len() < run.len();
             let fixes_basis = run.iter().any(|op| !native_ok(op.gate));
             if shorter || fixes_basis {
-                for g in synth {
-                    out.push(Operation::new(g, run[0].qubits.as_slice()));
-                }
+                let q = run[0].qubits;
+                out.extend(synth.iter().map(|&g| Operation::new(g, q.as_slice())));
             } else {
-                out.extend(run);
+                out.extend_from_slice(run);
             }
+            run.clear();
         };
 
         for op in ops {

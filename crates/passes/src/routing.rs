@@ -158,7 +158,7 @@ fn prepare_for_routing(
         .iter()
         .any(|op| op.gate.is_unitary() && op.gate.num_qubits() > 2);
     let narrowed = if needs_lowering {
-        lower_to_canonical(circuit, Some(device.platform()))?
+        lower_to_canonical(circuit, device.platform())?
     } else {
         circuit.clone()
     };

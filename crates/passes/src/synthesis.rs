@@ -2,13 +2,20 @@
 //!
 //! Mirrors Qiskit's `BasisTranslator`: gates are rewritten through a
 //! library of decomposition templates until the circuit only contains
-//! native gates of the selected platform. The pipeline is
+//! native gates of the selected platform. Translation is one pass over
+//! the input that appends to one op list, reserved from the input length.
+//! Native ops, measurements and barriers are kept as they are, so
+//! translation is idempotent; every other op is
 //!
-//! 1. lower every gate to the canonical set `{1q unitaries, CX}`,
-//! 2. replace CX by the platform's entangling gate (CZ / R_XX / ECR) with
-//!    local corrections,
-//! 3. resynthesize all single-qubit gates into the platform's one-qubit
-//!    basis via ZYZ Euler angles.
+//! 1. lowered by a fixed template to the canonical set `{1q unitaries,
+//!    CX}` (the same per-op templates lower a circuit for routing), and
+//! 2. each lowered op that is not native is mapped straight to natives:
+//!    CX to the platform's entangling gate (CZ / R_XX / ECR) with native
+//!    local corrections, a one-qubit gate to the platform's one-qubit
+//!    basis via ZYZ Euler angles, computed on the stack
+//!    ([`synthesize_1q`]).
+//!
+//! No intermediate circuit is built and no op allocates.
 //!
 //! Every template is verified unitary-exact by the test-suite.
 
@@ -48,49 +55,77 @@ pub fn translate_to_platform(
     circuit: &QuantumCircuit,
     platform: Platform,
 ) -> Result<QuantumCircuit, PassError> {
-    // Stage 1: lower to {1q, CX}, keeping platform-native gates as-is so
-    // translation is idempotent (e.g. CZ stays CZ on Rigetti).
-    let lowered = lower_to_canonical(circuit, Some(platform))?;
-    // Stage 2 & 3: map CX to the platform entangler and 1q gates to the
-    // platform basis.
-    let native = lower_canonical_to_platform(&lowered, platform)?;
-    Ok(native)
+    let natives = platform.native_gates();
+    let basis = one_qubit_basis(platform);
+    lower(circuit, platform, |op, ops| {
+        if !op.gate.is_unitary() || natives.contains(op.gate) {
+            ops.push(op);
+        } else if op.gate == Gate::Cx {
+            emit_cx_as_entangler(op.qubits[0].0, op.qubits[1].0, platform, ops);
+        } else {
+            debug_assert_eq!(
+                op.gate.num_qubits(),
+                1,
+                "the templates lower every other gate to one-qubit gates and CX"
+            );
+            let q = op.qubits.as_slice();
+            let gates = synthesize_1q(&op.gate.matrix_1q(), basis);
+            ops.extend(gates.iter().map(|&g| Operation::new(g, q)));
+        }
+    })
 }
 
-/// Stage 1: rewrite every multi-qubit gate into `{1q gates, CX}` using
-/// fixed templates, keeping 1q gates, directives, and (when a platform is
-/// given) platform-native gates as-is.
+/// Rewrites every multi-qubit gate that is not `platform`-native into
+/// `{1q gates, CX}` using fixed templates, keeping 1q gates, directives
+/// and platform-native gates as-is.
 pub(crate) fn lower_to_canonical(
     circuit: &QuantumCircuit,
-    keep_native_of: Option<Platform>,
+    platform: Platform,
 ) -> Result<QuantumCircuit, PassError> {
-    let mut out = QuantumCircuit::with_name(circuit.num_qubits(), circuit.name().to_string());
+    lower(circuit, platform, |op, ops| ops.push(op))
+}
+
+/// The one pass behind [`translate_to_platform`] and
+/// [`lower_to_canonical`]: keeps directives and `platform`-native gates,
+/// lowers every other op through its template, and hands each lowered op
+/// to `sink` with the output list.
+fn lower(
+    circuit: &QuantumCircuit,
+    platform: Platform,
+    mut sink: impl FnMut(Operation, &mut Vec<Operation>),
+) -> Result<QuantumCircuit, PassError> {
+    let natives = platform.native_gates();
+    let mut ops = Vec::with_capacity(circuit.len());
     for op in circuit.iter() {
-        if let Some(p) = keep_native_of {
-            if op.gate.is_unitary() && p.native_gates().contains(op.gate) {
-                out.push(*op)?;
-                continue;
-            }
+        if !op.gate.is_unitary() || natives.contains(op.gate) {
+            ops.push(*op);
+        } else {
+            lower_op_to_canonical(op, &mut |lowered| sink(lowered, &mut ops))?;
         }
-        lower_op_to_canonical(op, &mut out)?;
     }
+    let mut out = QuantumCircuit::with_name(circuit.num_qubits(), circuit.name());
+    out.set_ops(ops)?;
     Ok(out)
 }
 
-fn lower_op_to_canonical(op: &Operation, out: &mut QuantumCircuit) -> Result<(), PassError> {
+/// Lowers one op to `{1q gates, CX}` through its template, passing each
+/// lowered op to `emit` in circuit order.
+fn lower_op_to_canonical(
+    op: &Operation,
+    emit: &mut impl FnMut(Operation),
+) -> Result<(), PassError> {
     use Gate::*;
     let qs = op.qubits.as_slice();
     let q = |i: usize| qs[i].0;
-    // Helper closures to emit ops.
     macro_rules! emit {
         ($gate:expr, $($qb:expr),+) => {
-            out.push(Operation::new($gate, &[$(Qubit($qb)),+]))?
+            emit(Operation::new($gate, &[$(Qubit($qb)),+]))
         };
     }
     match op.gate {
         // Native to the canonical set.
-        Cx | Measure | Barrier => out.push(*op)?,
-        g if g.num_qubits() == 1 => out.push(*op)?,
+        Cx | Measure | Barrier => emit(*op),
+        g if g.num_qubits() == 1 => emit(*op),
         // Two-qubit templates over {1q, CX}.
         Cy => {
             emit!(Sdg, q(1));
@@ -206,7 +241,7 @@ fn lower_op_to_canonical(op: &Operation, out: &mut QuantumCircuit) -> Result<(),
             emit!(Cx, q(2), q(1));
             // Toffoli on (0, 1, 2) — reuse the CCX template by recursion.
             let ccx = Operation::new(Ccx, &[Qubit(q(0)), Qubit(q(1)), Qubit(q(2))]);
-            lower_op_to_canonical(&ccx, out)?;
+            lower_op_to_canonical(&ccx, emit)?;
             emit!(Cx, q(2), q(1));
         }
         other => {
@@ -219,36 +254,6 @@ fn lower_op_to_canonical(op: &Operation, out: &mut QuantumCircuit) -> Result<(),
     Ok(())
 }
 
-/// Stage 2+3: map a canonical `{1q, CX}` circuit to platform natives.
-fn lower_canonical_to_platform(
-    circuit: &QuantumCircuit,
-    platform: Platform,
-) -> Result<QuantumCircuit, PassError> {
-    let basis = one_qubit_basis(platform);
-    let gates = platform.native_gates();
-    let mut out = QuantumCircuit::with_name(circuit.num_qubits(), circuit.name().to_string());
-    for op in circuit.iter() {
-        if !op.gate.is_unitary() || gates.contains(op.gate) {
-            out.push(*op)?;
-            continue;
-        }
-        if op.gate == Gate::Cx {
-            emit_cx_as_entangler(op.qubits[0].0, op.qubits[1].0, platform, &mut out)?;
-            continue;
-        }
-        debug_assert_eq!(
-            op.gate.num_qubits(),
-            1,
-            "stage 1 lowered all non-native multi-qubit gates"
-        );
-        let q = op.qubits[0];
-        for g in synthesize_1q(&op.gate.matrix(), basis) {
-            out.push(Operation::new(g, &[q]))?;
-        }
-    }
-    Ok(out)
-}
-
 /// The single-qubit Euler basis of each platform.
 pub fn one_qubit_basis(platform: Platform) -> OneQubitBasis {
     match platform {
@@ -258,19 +263,12 @@ pub fn one_qubit_basis(platform: Platform) -> OneQubitBasis {
     }
 }
 
-/// Emits `CX(a, b)` in terms of the platform's entangling gate with local
-/// corrections (in the platform's raw gate vocabulary; locals may still
-/// need 1q resynthesis, so this runs before stage 3 emission — here we emit
-/// natives directly since each correction below is already native).
-fn emit_cx_as_entangler(
-    a: u32,
-    b: u32,
-    platform: Platform,
-    out: &mut QuantumCircuit,
-) -> Result<(), PassError> {
+/// Appends `CX(a, b)` in terms of the platform's entangling gate, with
+/// local corrections that are already native.
+fn emit_cx_as_entangler(a: u32, b: u32, platform: Platform, ops: &mut Vec<Operation>) {
     macro_rules! emit {
         ($gate:expr, $($qb:expr),+) => {
-            out.push(Operation::new($gate, &[$(Qubit($qb)),+]))?
+            ops.push(Operation::new($gate, &[$(Qubit($qb)),+]))
         };
     }
     match platform {
@@ -278,11 +276,9 @@ fn emit_cx_as_entangler(
         Platform::Rigetti => {
             // CX(a,b) = H(b) CZ(a,b) H(b); H in {Rz, Rx}:
             // H ≅ Rz(π/2)·Rx(π/2)·Rz(π/2).
-            for _ in 0..1 {
-                emit!(Gate::Rz(FRAC_PI_2), b);
-                emit!(Gate::Rx(FRAC_PI_2), b);
-                emit!(Gate::Rz(FRAC_PI_2), b);
-            }
+            emit!(Gate::Rz(FRAC_PI_2), b);
+            emit!(Gate::Rx(FRAC_PI_2), b);
+            emit!(Gate::Rz(FRAC_PI_2), b);
             emit!(Gate::Cz, a, b);
             emit!(Gate::Rz(FRAC_PI_2), b);
             emit!(Gate::Rx(FRAC_PI_2), b);
@@ -306,7 +302,6 @@ fn emit_cx_as_entangler(
             emit!(Gate::Sx, b);
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -365,7 +360,7 @@ mod tests {
     #[test]
     fn canonical_lowering_is_equivalence_preserving() {
         for qc in template_cases() {
-            let lowered = lower_to_canonical(&qc, None).unwrap();
+            let lowered = lower_to_canonical(&qc, Platform::Ibm).unwrap();
             assert!(
                 circuits_equivalent(&qc, &lowered, 1e-8).unwrap(),
                 "lowering of {:?} wrong",
