@@ -6,8 +6,12 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qrc_benchgen::BenchmarkFamily;
 use qrc_device::DeviceId;
-use qrc_predictor::{train, Baseline, PredictorConfig, RewardKind, TrainedPredictor};
-use qrc_rl::PpoConfig;
+use qrc_predictor::{
+    train, Action, Baseline, PredictorConfig, RewardKind, TrainedPredictor, OBS_DIM,
+};
+use qrc_rl::{Adam, Mlp, PpoConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 fn tiny_model(reward: RewardKind) -> TrainedPredictor {
@@ -143,11 +147,64 @@ fn training_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// The network kernel on the served policy shape (18 → 64 → 64 → 29):
+/// `Mlp::forward_batch` at 1, 16 and 64 rows, and one 64-row PPO
+/// minibatch step over the policy and a value network of the same
+/// hidden widths (batched forward, batched backward, gradient-norm
+/// clip, Adam step).
+fn nn_kernel(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let policy = Mlp::new(OBS_DIM, &[64, 64], Action::COUNT, &mut rng);
+    let value = Mlp::new(OBS_DIM, &[64, 64], 1, &mut rng);
+    let rows = |n: usize, width: usize, rng: &mut StdRng| -> Vec<f64> {
+        (0..n * width).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    };
+    let mut group = c.benchmark_group("nn");
+    for n in [1usize, 16, 64] {
+        let xs: Vec<Vec<f64>> = rows(n, OBS_DIM, &mut rng)
+            .chunks(OBS_DIM)
+            .map(<[f64]>::to_vec)
+            .collect();
+        group.bench_function(format!("forward_batch/{n}_rows"), |b| {
+            b.iter(|| policy.forward_batch(black_box(&xs)))
+        });
+    }
+    let xs = rows(64, OBS_DIM, &mut rng);
+    let dlogits: Vec<f64> = rows(64, Action::COUNT, &mut rng)
+        .iter()
+        .map(|g| g / 64.0)
+        .collect();
+    let dvalues: Vec<f64> = rows(64, 1, &mut rng).iter().map(|g| g / 64.0).collect();
+    let adam_policy = Adam::new(&policy, 3e-4);
+    let adam_value = Adam::new(&value, 3e-4);
+    group.bench_function("minibatch_step/64_rows", |b| {
+        b.iter(|| {
+            let (mut policy, mut value) = (policy.clone(), value.clone());
+            let (mut adam_policy, mut adam_value) = (adam_policy.clone(), adam_value.clone());
+            for (net, adam, dout) in [
+                (&mut policy, &mut adam_policy, &dlogits),
+                (&mut value, &mut adam_value, &dvalues),
+            ] {
+                let acts = net.forward_minibatch(black_box(&xs), 64);
+                let mut grads = net.backward_minibatch(&acts, dout);
+                let norm = grads.norm();
+                if norm > 0.5 {
+                    grads.scale(0.5 / norm);
+                }
+                adam.step(net, &grads);
+            }
+            (policy, value)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     fig3_histogram_point,
     fig3_family_row,
     table1_cell,
-    training_throughput
+    training_throughput,
+    nn_kernel
 );
 criterion_main!(benches);

@@ -45,6 +45,8 @@ pub struct AblationSettings {
     /// every arm and circuit derives its own seed via
     /// [`crate::task_seed`]).
     pub parallel: bool,
+    /// Print each arm's start and finish to stderr.
+    pub verbose: bool,
 }
 
 impl Default for AblationSettings {
@@ -55,6 +57,7 @@ impl Default for AblationSettings {
             reward: RewardKind::ExpectedFidelity,
             seed: 11,
             parallel: true,
+            verbose: true,
         }
     }
 }
@@ -258,12 +261,17 @@ pub fn run_ablations(settings: &AblationSettings) -> Vec<AblationResult> {
         ),
     ];
     // Under parallel dispatch the start order is scheduler-dependent,
-    // so progress lines report start/finish by name, not a counter.
+    // so progress lines report start/finish by name, not a counter, and
+    // only when verbose: `--quiet` output must not vary between runs.
     let run_one = |(label, arm): &(&str, Arm)| {
-        eprintln!("arm `{label}` started\u{2026}");
+        if settings.verbose {
+            eprintln!("arm `{label}` started\u{2026}");
+        }
         let mut result = arm(settings);
         result.label = label.to_string();
-        eprintln!("arm `{label}` finished");
+        if settings.verbose {
+            eprintln!("arm `{label}` finished");
+        }
         result
     };
     if settings.parallel {

@@ -125,6 +125,7 @@ fn main() {
             reward: qrc_predictor::RewardKind::ExpectedFidelity,
             seed: settings.seed,
             parallel: settings.parallel,
+            verbose: settings.verbose,
         };
         println!("\n=== Ablations (objective: fidelity) ===");
         let results = qrc_bench::ablation::run_ablations(&ab);

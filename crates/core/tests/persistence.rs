@@ -96,6 +96,23 @@ fn load_rejects_corrupt_and_foreign_payloads() {
 }
 
 #[test]
+fn load_rejects_a_checkpoint_with_an_empty_rollout() {
+    // A checkpoint that loads must also fine-tune: with no steps per
+    // update, the first rollout would be empty and training would panic.
+    let untrained = train(
+        vec![BenchmarkFamily::Ghz.generate(3)],
+        &PredictorConfig::new(RewardKind::ExpectedFidelity, 0),
+    );
+    let text = untrained.to_json();
+    assert!(text.contains(r#""steps_per_update":256"#));
+    let text = text.replace(r#""steps_per_update":256"#, r#""steps_per_update":0"#);
+    match TrainedPredictor::from_json(&text) {
+        Err(PersistError::Format(msg)) => assert!(msg.contains("`steps_per_update`"), "{msg}"),
+        other => panic!("expected a format error, got {other:?}"),
+    }
+}
+
+#[test]
 fn compile_request_is_deterministic_per_seed() {
     let model = tiny_model(RewardKind::Combination, 3);
     let qc = BenchmarkFamily::Ghz.generate(4);

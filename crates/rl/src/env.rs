@@ -140,4 +140,65 @@ pub(crate) mod toy {
             vec![self.pos > 0, self.pos < self.len - 1]
         }
     }
+
+    /// A walk on a ring of 11 cells with any observation and action
+    /// count: action `a` moves `a + 1` cells (some strides masked by
+    /// position), reaching cell 0 pays 1 and every other stride costs
+    /// a little, and episodes last at most 12 steps. The observation is
+    /// `obs_dim` rational features of the position.
+    pub struct Ring {
+        pub obs_dim: usize,
+        pub actions: usize,
+        pos: usize,
+        steps: usize,
+    }
+
+    impl Ring {
+        const LEN: usize = 11;
+
+        pub fn new(obs_dim: usize, actions: usize) -> Self {
+            Ring {
+                obs_dim,
+                actions,
+                pos: 1,
+                steps: 0,
+            }
+        }
+
+        fn observe(&self) -> Vec<f64> {
+            (0..self.obs_dim)
+                .map(|k| ((self.pos * (k + 1)) % Self::LEN) as f64 / Self::LEN as f64 - 0.5)
+                .collect()
+        }
+    }
+
+    impl Environment for Ring {
+        fn obs_dim(&self) -> usize {
+            self.obs_dim
+        }
+        fn num_actions(&self) -> usize {
+            self.actions
+        }
+        fn reset(&mut self, rng: &mut StdRng) -> Vec<f64> {
+            self.pos = rng.gen_range(1..Self::LEN);
+            self.steps = 0;
+            self.observe()
+        }
+        fn step(&mut self, action: usize, _rng: &mut StdRng) -> Step {
+            assert!(self.action_mask()[action], "masked action chosen");
+            self.steps += 1;
+            self.pos = (self.pos + action + 1) % Self::LEN;
+            let goal = self.pos == 0;
+            Step {
+                obs: self.observe(),
+                reward: if goal { 1.0 } else { -0.01 * action as f64 },
+                done: goal || self.steps >= 12,
+            }
+        }
+        fn action_mask(&self) -> Vec<bool> {
+            (0..self.actions)
+                .map(|a| a == 0 || !(self.pos + a).is_multiple_of(3))
+                .collect()
+        }
+    }
 }

@@ -30,7 +30,7 @@ mod nn;
 mod ppo;
 
 pub use env::{Environment, Step};
-pub use nn::{Adam, Gradients, Mlp};
+pub use nn::{Activations, Adam, Gradients, Mlp};
 pub use ppo::{
     distribution_entropy, greedy_from_logits, masked_softmax, sample_categorical, PpoAgent,
     PpoConfig, TrainStats,

@@ -63,7 +63,9 @@ impl PpoConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or mistyped field.
+    /// Returns a description of the first missing or mistyped field, or
+    /// of a `steps_per_update` of 0: a rollout must hold at least one
+    /// step, and training would otherwise panic on the first rollout.
     pub fn from_value(value: &serde_json::Value) -> Result<PpoConfig, String> {
         let int = |key: &str| {
             value
@@ -86,8 +88,12 @@ impl PpoConfig {
             .map(|v| v.as_u64().map(|h| h as usize))
             .collect::<Option<Vec<usize>>>()
             .ok_or("ppo config: non-integer entry in `hidden`")?;
+        let steps_per_update = int("steps_per_update")?;
+        if steps_per_update == 0 {
+            return Err("ppo config: `steps_per_update` must be at least 1".into());
+        }
         Ok(PpoConfig {
-            steps_per_update: int("steps_per_update")?,
+            steps_per_update,
             minibatch_size: int("minibatch_size")?,
             epochs: int("epochs")?,
             gamma: float("gamma")?,
@@ -399,15 +405,10 @@ impl PpoAgent {
         (r, stats, obs, mask)
     }
 
-    fn update(
-        &mut self,
-        rollout: &Rollout,
-        adam_policy: &mut Adam,
-        adam_value: &mut Adam,
-        rng: &mut StdRng,
-    ) {
+    /// GAE(λ) advantages, normalized to zero mean and unit variance,
+    /// and the value targets (advantage + value) of a rollout.
+    fn advantages_and_returns(&self, rollout: &Rollout) -> (Vec<f64>, Vec<f64>) {
         let n = rollout.obs.len();
-        // GAE advantages and returns.
         let mut advantages = vec![0.0; n];
         let mut gae = 0.0;
         for t in (0..n).rev() {
@@ -428,7 +429,6 @@ impl PpoAgent {
             .zip(rollout.values.iter())
             .map(|(a, v)| a + v)
             .collect();
-        // Normalize advantages.
         let mean = advantages.iter().sum::<f64>() / n as f64;
         let var = advantages
             .iter()
@@ -439,18 +439,45 @@ impl PpoAgent {
         for a in &mut advantages {
             *a = (*a - mean) / std;
         }
+        (advantages, returns)
+    }
 
-        let mut indices: Vec<usize> = (0..n).collect();
+    /// One PPO update: `epochs` passes over the rollout in shuffled
+    /// minibatches. Each minibatch is one batched forward and one
+    /// batched backward of each network (clipped surrogate plus entropy
+    /// bonus for the policy, squared error for the value), then a
+    /// gradient-norm clip and an Adam step per network. The batched
+    /// passes add every sum in the order a per-sample loop over the
+    /// minibatch would (see the `nn` module), so the trained weights
+    /// are bit-identical to it.
+    fn update(
+        &mut self,
+        rollout: &Rollout,
+        adam_policy: &mut Adam,
+        adam_value: &mut Adam,
+        rng: &mut StdRng,
+    ) {
+        let (advantages, returns) = self.advantages_and_returns(rollout);
+        let mut indices: Vec<usize> = (0..rollout.obs.len()).collect();
+        let mut xs: Vec<f64> = Vec::new();
+        let mut dlogits: Vec<f64> = Vec::new();
+        let mut dvalues: Vec<f64> = Vec::new();
         for _ in 0..self.config.epochs {
             indices.shuffle(rng);
             for batch in indices.chunks(self.config.minibatch_size.max(1)) {
-                let mut pol_grads = Gradients::zeros_like(&self.policy);
-                let mut val_grads = Gradients::zeros_like(&self.value);
-                let scale = 1.0 / batch.len() as f64;
+                xs.clear();
                 for &i in batch {
+                    xs.extend_from_slice(&rollout.obs[i]);
+                }
+                let policy = self.policy.forward_minibatch(&xs, batch.len());
+                let value = self.value.forward_minibatch(&xs, batch.len());
+                let scale = 1.0 / batch.len() as f64;
+                dlogits.clear();
+                dvalues.clear();
+                let rows = policy.output().chunks(self.num_actions);
+                for ((&i, logits), &v) in batch.iter().zip(rows).zip(value.output()) {
                     // ---- policy ----
-                    let acts = self.policy.forward_cached(&rollout.obs[i]);
-                    let probs = masked_softmax(acts.output(), &rollout.masks[i]);
+                    let probs = masked_softmax(logits, &rollout.masks[i]);
                     let a = rollout.actions[i];
                     let logp = probs[a].max(1e-12).ln();
                     let ratio = (logp - rollout.log_probs[i]).exp();
@@ -467,23 +494,19 @@ impl PpoAgent {
                     let entropy = distribution_entropy(&probs);
                     // dL/dlogit_k = dl_dlogp·(δ_ak − π_k)
                     //             + c_ent·π_k·(ln π_k + H)   (masked: π=0)
-                    let mut dlogits = vec![0.0; self.num_actions];
-                    for k in 0..self.num_actions {
-                        let pk = probs[k];
+                    for (k, &pk) in probs.iter().enumerate() {
                         let indicator = if k == a { 1.0 } else { 0.0 };
                         let mut g = dl_dlogp * (indicator - pk);
                         if pk > 1e-12 {
                             g += self.config.entropy_coef * pk * (pk.ln() + entropy);
                         }
-                        dlogits[k] = g * scale;
+                        dlogits.push(g * scale);
                     }
-                    self.policy.backward(&acts, &dlogits, &mut pol_grads);
                     // ---- value ----
-                    let vacts = self.value.forward_cached(&rollout.obs[i]);
-                    let v = vacts.output()[0];
-                    let dv = 2.0 * (v - returns[i]) * self.config.value_coef * scale;
-                    self.value.backward(&vacts, &[dv], &mut val_grads);
+                    dvalues.push(2.0 * (v - returns[i]) * self.config.value_coef * scale);
                 }
+                let mut pol_grads = self.policy.backward_minibatch(&policy, &dlogits);
+                let mut val_grads = self.value.backward_minibatch(&value, &dvalues);
                 clip_grad_norm(&mut pol_grads, self.config.max_grad_norm);
                 clip_grad_norm(&mut val_grads, self.config.max_grad_norm);
                 adam_policy.step(&mut self.policy, &pol_grads);
@@ -575,7 +598,129 @@ pub fn sample_categorical(probs: &[f64], rng: &mut StdRng) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::toy::{Bandit, Corridor};
+    use crate::env::toy::{Bandit, Corridor, Ring};
+    use crate::nn::oracle;
+    use proptest::prelude::*;
+
+    /// The update PPO ran before each minibatch went batched: every
+    /// sample of a minibatch through its own forward and backward pass
+    /// of each network, its gradients added into zeroed buffers in
+    /// minibatch order. The oracle for [`PpoAgent::update`].
+    fn oracle_update(
+        agent: &mut PpoAgent,
+        rollout: &Rollout,
+        adam_policy: &mut Adam,
+        adam_value: &mut Adam,
+        rng: &mut StdRng,
+    ) {
+        let (advantages, returns) = agent.advantages_and_returns(rollout);
+        let config = agent.config.clone();
+        let mut indices: Vec<usize> = (0..rollout.obs.len()).collect();
+        for _ in 0..config.epochs {
+            indices.shuffle(rng);
+            for batch in indices.chunks(config.minibatch_size.max(1)) {
+                let mut pol_grads = oracle::zero_gradients(&agent.policy);
+                let mut val_grads = oracle::zero_gradients(&agent.value);
+                let scale = 1.0 / batch.len() as f64;
+                for &i in batch {
+                    let x = &rollout.obs[i];
+                    let (_, post) = oracle::forward(&agent.policy, x);
+                    let probs = masked_softmax(post.last().unwrap(), &rollout.masks[i]);
+                    let a = rollout.actions[i];
+                    let logp = probs[a].max(1e-12).ln();
+                    let ratio = (logp - rollout.log_probs[i]).exp();
+                    let adv = advantages[i];
+                    let unclipped_active = if adv >= 0.0 {
+                        ratio < 1.0 + config.clip
+                    } else {
+                        ratio > 1.0 - config.clip
+                    };
+                    let dl_dlogp = if unclipped_active { -adv * ratio } else { 0.0 };
+                    let entropy = distribution_entropy(&probs);
+                    let mut dlogits = vec![0.0; agent.num_actions];
+                    for k in 0..agent.num_actions {
+                        let pk = probs[k];
+                        let indicator = if k == a { 1.0 } else { 0.0 };
+                        let mut g = dl_dlogp * (indicator - pk);
+                        if pk > 1e-12 {
+                            g += config.entropy_coef * pk * (pk.ln() + entropy);
+                        }
+                        dlogits[k] = g * scale;
+                    }
+                    oracle::backward(&agent.policy, x, &dlogits, &mut pol_grads);
+                    let (_, vpost) = oracle::forward(&agent.value, x);
+                    let v = vpost.last().unwrap()[0];
+                    let dv = 2.0 * (v - returns[i]) * config.value_coef * scale;
+                    oracle::backward(&agent.value, x, &[dv], &mut val_grads);
+                }
+                clip_grad_norm(&mut pol_grads, config.max_grad_norm);
+                clip_grad_norm(&mut val_grads, config.max_grad_norm);
+                adam_policy.step(&mut agent.policy, &pol_grads);
+                adam_value.step(&mut agent.value, &val_grads);
+            }
+        }
+    }
+
+    /// [`PpoAgent::train`] with [`oracle_update`] in place of the
+    /// batched update.
+    fn oracle_train<E: Environment>(agent: &mut PpoAgent, env: &mut E, total: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
+        let mut adam_policy = Adam::new(&agent.policy, agent.config.learning_rate);
+        let mut adam_value = Adam::new(&agent.value, agent.config.learning_rate);
+        let mut timesteps = 0;
+        let mut obs = env.reset(&mut rng);
+        let mut mask = env.action_mask();
+        while timesteps < total {
+            let (rollout, _, next_obs, next_mask) = agent.collect_rollout(env, obs, mask, &mut rng);
+            obs = next_obs;
+            mask = next_mask;
+            timesteps += rollout.obs.len();
+            oracle_update(agent, &rollout, &mut adam_policy, &mut adam_value, &mut rng);
+        }
+    }
+
+    fn weight_bits(agent: &PpoAgent) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for net in [&agent.policy, &agent.value] {
+            let layers = net.to_value();
+            for layer in layers.as_array().unwrap() {
+                for key in ["w", "b"] {
+                    let values = crate::nn::float_vec(layer.get(key).unwrap()).unwrap();
+                    bits.extend(values.iter().map(|v| v.to_bits()));
+                }
+            }
+        }
+        bits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn batched_update_matches_the_per_sample_oracle(
+            (obs_dim, actions, hidden) in
+                (1usize..20, 1usize..32, proptest::collection::vec(1usize..40, 0..3)),
+            (steps_per_update, minibatch_size, epochs, updates) in
+                (1usize..90, 0usize..70, 1usize..4, 1usize..3),
+            seed in 0u64..1_000,
+        ) {
+            let config = PpoConfig {
+                steps_per_update,
+                minibatch_size,
+                epochs,
+                learning_rate: 3e-3,
+                entropy_coef: 0.05,
+                hidden,
+                ..PpoConfig::default()
+            };
+            let total = steps_per_update * updates;
+            let mut batched = PpoAgent::new(obs_dim, actions, config, seed);
+            let mut per_sample = batched.clone();
+            batched.train(&mut Ring::new(obs_dim, actions), total, seed + 1, |_| {});
+            oracle_train(&mut per_sample, &mut Ring::new(obs_dim, actions), total, seed + 1);
+            prop_assert_eq!(weight_bits(&batched), weight_bits(&per_sample));
+        }
+    }
 
     fn quick_config() -> PpoConfig {
         PpoConfig {
@@ -628,6 +773,20 @@ mod tests {
         }
         let err = PpoAgent::from_value(&v).unwrap_err();
         assert!(err.contains("policy shape"), "{err}");
+    }
+
+    #[test]
+    fn config_from_value_rejects_an_empty_rollout() {
+        let mut v = quick_config().to_value();
+        if let serde_json::Value::Object(pairs) = &mut v {
+            for (k, val) in pairs.iter_mut() {
+                if k == "steps_per_update" {
+                    *val = serde_json::Value::from(0usize);
+                }
+            }
+        }
+        let err = PpoConfig::from_value(&v).unwrap_err();
+        assert!(err.contains("`steps_per_update`"), "{err}");
     }
 
     #[test]
